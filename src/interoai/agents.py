@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -68,14 +69,6 @@ class Discretizer:
             )
         return tuple(bisect_right(edges, v) for edges, v in zip(self.internal_edges, values))
 
-    def boundary_features(self, state: FactoredState) -> tuple[int, ...]:
-        b = state.boundary
-        bits = (0 if b.flux_food == 0.0 else 1, 0 if b.flux_water == 0.0 else 1)
-        if self.sense_ambient:
-            temp_edges = self.internal_edges[-1]
-            return bits + (bisect_right(temp_edges, b.sensed_ambient),)
-        return bits
-
     def external_features(self, state: FactoredState) -> tuple:
         ext = state.external
         pos = ext.agent_pos
@@ -84,11 +77,26 @@ class Discretizer:
         return (pos[0], pos[1], int(ext.tag_at(pos)))
 
     def key(self, state: FactoredState) -> ObsKey:
-        return (
-            self.external_features(state)
-            + self.boundary_features(state)
-            + self.internal_bins(state.internal.values)
-        )
+        """External features, then the boundary features, then the internal bins.
+
+        Built in one pass; the parts are those `external_features` and
+        `internal_bins` return.
+        """
+        ext, b = state.external, state.boundary
+        values = state.internal.values
+        edges = self.internal_edges
+        if len(values) != len(edges):
+            raise ConfigError(f"{len(values)} internal values vs {len(edges)} edge sets")
+        r, c = ext.agent_pos
+        key = [r, c, int(ext.resource_map[r][c])]
+        if self.season_visible:
+            key.append(ext.season)
+        key.append(0 if b.flux_food == 0.0 else 1)
+        key.append(0 if b.flux_water == 0.0 else 1)
+        if self.sense_ambient:
+            key.append(bisect_right(edges[-1], b.sensed_ambient))
+        key.extend(map(bisect_right, edges, values))
+        return tuple(key)
 
 
 def discretize(d: Discretizer, state: FactoredState) -> ObsKey:
@@ -97,23 +105,33 @@ def discretize(d: Discretizer, state: FactoredState) -> ObsKey:
 
 
 class QTable:
-    """Sparse action-value table; unseen entries read as 0."""
+    """Sparse action-value table; unseen entries read as 0.
 
-    __slots__ = ("actions", "values")
+    One row per observation, a list of values in `actions` order, so reading
+    a row is a single dict lookup.  A row is created on its first write.
+    """
+
+    __slots__ = ("actions", "values", "_index", "_zeros")
 
     def __init__(self, actions: tuple[Action, ...] = ACTIONS):
         self.actions = tuple(actions)
-        self.values: dict[tuple, float] = {}
+        self.values: dict[ObsKey, list[float]] = {}
+        self._index = {a: i for i, a in enumerate(self.actions)}
+        self._zeros = (0.0,) * len(self.actions)
 
     def get(self, obs: ObsKey, action: Action) -> float:
-        return self.values.get((obs, action), 0.0)
+        row = self.values.get(obs)
+        return 0.0 if row is None else row[self._index[action]]
 
     def set(self, obs: ObsKey, action: Action, value: float) -> None:
-        self.values[(obs, action)] = value
+        row = self.values.get(obs)
+        if row is None:
+            row = self.values[obs] = [0.0] * len(self.actions)
+        row[self._index[action]] = value
 
-    def row(self, obs: ObsKey) -> tuple[float, ...]:
-        get = self.values.get
-        return tuple(get((obs, a), 0.0) for a in self.actions)
+    def row(self, obs: ObsKey) -> Sequence[float]:
+        """Q(obs, .) in `actions` order; the stored row, so read it only."""
+        return self.values.get(obs, self._zeros)
 
     def max_value(self, obs: ObsKey) -> float:
         return max(self.row(obs))
@@ -124,12 +142,12 @@ class QTable:
         return self.actions[row.index(best)]  # ties break to the lowest index
 
 
-def softmax_probs(qvalues: tuple[float, ...], tau: float) -> tuple[float, ...]:
+def softmax_probs(qvalues: Sequence[float], tau: float) -> tuple[float, ...]:
     """Softmax with max-subtraction for numerical stability."""
     top = max(qvalues)
     exps = [math.exp((q - top) / tau) for q in qvalues]
     z = sum(exps)
-    return tuple(e / z for e in exps)
+    return tuple([e / z for e in exps])
 
 
 def q_select(q: QTable, obs: ObsKey, tau: float, rng: np.random.Generator) -> Action:
@@ -188,14 +206,18 @@ class NeuromodConfig:
             raise ConfigError("beta_g must be >= 0")
 
 
-def modulate(cfg: NeuromodConfig, dm: DriveModel, h) -> ModulationSignals:
+def modulate(
+    cfg: NeuromodConfig, dm: DriveModel, h, d: float | None = None
+) -> ModulationSignals:
     """Map the current drive to exploration temperature, TD gain, and context.
 
     tau falls from tau_max (satiated) toward tau_min (needy); the gain rises
     from 1 toward 1 + beta_g; the context is the dominant deficit dimension
-    when gating is on, else a single shared context.
+    when gating is on, else a single shared context.  Pass `d` when the
+    drive of `h` is already known.
     """
-    d = drive(dm, h)
+    if d is None:
+        d = drive(dm, h)
     tau = cfg.tau_min + (cfg.tau_max - cfg.tau_min) * math.exp(-cfg.beta_tau * d)
     g = 1.0 + cfg.beta_g * d / (1.0 + d)
     context = dominant_deficit(dm, h) if cfg.context_gating else 0
@@ -244,7 +266,14 @@ class RandomAgent:
 
 
 class TabularQAgent:
-    """Shared machinery for the three learning agents."""
+    """Shared machinery for the three learning agents.
+
+    What the agent derives from a state -- observation key, drive and
+    modulation signals -- is computed once per state.  States are immutable,
+    so the facts of the last two states seen are kept and matched by
+    identity: in the step loop `learn(state, a, nxt)` derives the facts of
+    `nxt`, and `act(nxt)` and the runner's `drive_of(nxt)` reuse them.
+    """
 
     def __init__(
         self,
@@ -260,25 +289,44 @@ class TabularQAgent:
         self.neuromod = neuromod
         self.tables: dict[int, QTable] = {}
         self.last_signals: ModulationSignals | None = None
-        self._sig_state: FactoredState | None = None
+        self._external_only = cfg.kind == "ExternalRewardQ"
+        self._fixed_signals = (
+            None
+            if cfg.kind == "Neuromod"
+            else ModulationSignals(temperature=cfg.tau, td_gain=1.0, context_id=0)
+        )
+        self._state: FactoredState | None = None
+        self._facts_of_state: tuple | None = None
+        self._prev: FactoredState | None = None
+        self._facts_of_prev: tuple | None = None
 
-    # -- observation and routing ------------------------------------------
+    # -- per-state facts -------------------------------------------------------
+
+    def _facts(self, state: FactoredState) -> tuple[ObsKey, float, ModulationSignals]:
+        """(observation key, drive, signals) of `state`, from memo if it is recent."""
+        if state is self._state:
+            return self._facts_of_state
+        if state is self._prev:
+            return self._facts_of_prev
+        h = state.internal
+        obs = self.disc.external_features(state) if self._external_only else self.disc.key(state)
+        d = drive(self.dm, h)
+        sig = self._fixed_signals
+        if sig is None:
+            sig = modulate(self.neuromod, self.dm, h, d)
+        facts = (obs, d, sig)
+        self._prev, self._facts_of_prev = self._state, self._facts_of_state
+        self._state, self._facts_of_state = state, facts
+        return facts
 
     def observe(self, state: FactoredState) -> ObsKey:
-        if self.kind == "ExternalRewardQ":
-            return self.disc.external_features(state)
-        return self.disc.key(state)
+        return self._facts(state)[0]
+
+    def drive_of(self, state: FactoredState) -> float:
+        return self._facts(state)[1]
 
     def signals(self, state: FactoredState) -> ModulationSignals:
-        if self._sig_state is state and self.last_signals is not None:
-            return self.last_signals
-        if self.kind == "Neuromod":
-            sig = modulate(self.neuromod, self.dm, state.internal)
-        else:
-            sig = ModulationSignals(temperature=self.cfg.tau, td_gain=1.0, context_id=0)
-        self._sig_state = state
-        self.last_signals = sig
-        return sig
+        return self._facts(state)[2]
 
     def table_for(self, context_id: int) -> QTable:
         table = self.tables.get(context_id)
@@ -290,33 +338,33 @@ class TabularQAgent:
     # -- reward -------------------------------------------------------------
 
     def reward(self, state: FactoredState, action: Action, nxt: FactoredState) -> float:
-        if self.kind == "ExternalRewardQ":
+        if self._external_only:
             tag = state.external.tag_at(state.external.agent_pos)
             return 1.0 if action == Action.Consume and tag in (Tag.Food, Tag.Water) else 0.0
-        return drive(self.dm, state.internal) - drive(self.dm, nxt.internal)
+        return self._facts(state)[1] - self._facts(nxt)[1]
 
     # -- the act / learn pair ------------------------------------------------
 
     def act(self, state: FactoredState, rng: np.random.Generator) -> Action:
-        sig = self.signals(state)
-        return q_select(self.table_for(sig.context_id), self.observe(state), sig.temperature, rng)
+        obs, _, sig = self._facts(state)
+        self.last_signals = sig
+        return q_select(self.table_for(sig.context_id), obs, sig.temperature, rng)
 
     def learn(self, state: FactoredState, action: Action, nxt: FactoredState) -> None:
-        sig = self.signals(state)
+        obs, _, sig = self._facts(state)
+        transition = (obs, action, self.reward(state, action, nxt), self._facts(nxt)[0])
         table = self.table_for(sig.context_id)
-        transition = (self.observe(state), action, self.reward(state, action, nxt), self.observe(nxt))
         q_update(table, transition, self.cfg.alpha, self.cfg.gamma, sig.td_gain)
 
     # -- probes ---------------------------------------------------------------
 
     def policy_probs(self, state: FactoredState) -> tuple[float, ...]:
-        sig = self.signals(state)
-        table = self.table_for(sig.context_id)
-        return softmax_probs(table.row(self.observe(state)), sig.temperature)
+        obs, _, sig = self._facts(state)
+        return softmax_probs(self.table_for(sig.context_id).row(obs), sig.temperature)
 
     def greedy_action(self, state: FactoredState) -> Action:
-        sig = self.signals(state)
-        return self.table_for(sig.context_id).greedy(self.observe(state))
+        obs, _, sig = self._facts(state)
+        return self.table_for(sig.context_id).greedy(obs)
 
 
 def make_agent(

@@ -25,7 +25,7 @@ safe to run from many threads as long as each run owns its generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from typing import Callable, Optional
 
@@ -130,6 +130,10 @@ class TransitionModel:
 
     `internal_leak` replaces `f_i` when set.  The factored build keeps it
     None so the internal update cannot read the external state at all.
+
+    `checked_grids` is the model's own memo for `check_schema`: grids whose
+    shape already passed, keyed by identity.  Grids are immutable tuples, so
+    a grid seen again needs no rescan; holding it keeps its id from reuse.
     """
 
     f_b: FBoundary
@@ -137,27 +141,51 @@ class TransitionModel:
     f_e: FExternal
     internal_leak: Optional[FInternalLeak] = None
     schema: Optional[StateSchema] = None
+    checked_grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-def check_schema(schema: Optional[StateSchema], state: FactoredState) -> None:
-    """Raise SchemaMismatch unless the state fits the model's schema."""
+# Grids a shape memo holds before it starts over.  A world that redraws its
+# ambient field every step would otherwise keep every field alive.
+_MEMO_GRIDS = 8
+
+
+def _check_grid(grid, rows: int, cols: int, what: str, memo: Optional[dict] = None) -> None:
+    """Raise SchemaMismatch unless `grid` has `rows` rows of `cols` cells each."""
+    if len(grid) != rows or any(len(row) != cols for row in grid):
+        raise SchemaMismatch(f"{what} shape disagrees with {rows}x{cols}")
+    if memo is not None:
+        if len(memo) >= _MEMO_GRIDS:
+            memo.clear()
+        memo[id(grid)] = grid
+
+
+def _check_pos(pos: tuple[int, int], rows: int, cols: int, what: str) -> None:
+    r, c = pos
+    if not (0 <= r < rows and 0 <= c < cols):
+        raise SchemaMismatch(f"{what} {pos} out of bounds")
+
+
+def check_schema(
+    schema: Optional[StateSchema], state: FactoredState, checked_grids: Optional[dict] = None
+) -> None:
+    """Raise SchemaMismatch unless the state fits the model's schema.
+
+    With `checked_grids` (see `TransitionModel`), a grid already found there
+    by identity is not scanned again; every other check runs on every call.
+    """
     if schema is None:
         return
-    if len(state.internal) != schema.internal_dim:
+    if len(state.internal.values) != schema.internal_dim:
         raise SchemaMismatch(
             f"internal dimension {len(state.internal)} != schema {schema.internal_dim}"
         )
-    r, c = state.external.agent_pos
-    if not (0 <= r < schema.rows and 0 <= c < schema.cols):
-        raise SchemaMismatch(f"agent_pos {state.external.agent_pos} out of bounds")
-    if len(state.external.resource_map) != schema.rows or any(
-        len(row) != schema.cols for row in state.external.resource_map
-    ):
-        raise SchemaMismatch("resource_map shape disagrees with schema")
-    if len(state.external.ambient_field) != schema.rows or any(
-        len(row) != schema.cols for row in state.external.ambient_field
-    ):
-        raise SchemaMismatch("ambient_field shape disagrees with schema")
+    ext = state.external
+    _check_pos(ext.agent_pos, schema.rows, schema.cols, "agent_pos")
+    tags, ambient = ext.resource_map, ext.ambient_field
+    if checked_grids is None or checked_grids.get(id(tags)) is not tags:
+        _check_grid(tags, schema.rows, schema.cols, "resource_map", checked_grids)
+    if checked_grids is None or checked_grids.get(id(ambient)) is not ambient:
+        _check_grid(ambient, schema.rows, schema.cols, "ambient_field", checked_grids)
 
 
 def internal_update(
@@ -180,7 +208,7 @@ def step_factored(
     rng: np.random.Generator,
 ) -> FactoredState:
     """Advance one step under the fixed blanket-respecting update order."""
-    check_schema(model.schema, state)
+    check_schema(model.schema, state, model.checked_grids)
     b_next = model.f_b(state.internal, state.external, action)
     i_next = internal_update(model, state.internal, state.boundary, state.external, action)
     e_next = model.f_e(state.external, state.boundary, action, rng, state.t + 1)
@@ -191,17 +219,12 @@ def perturb_external(state: FactoredState, replacement: ExternalState) -> Factor
     """Return a copy of `state` with the external component swapped.
 
     Internal and boundary components are untouched; used to probe that the
-    internal update cannot see the swap.
+    internal update cannot see the swap.  The replacement must have the grid
+    shape of the external state it replaces.
     """
-    rows = len(replacement.resource_map)
-    if rows == 0 or len(replacement.ambient_field) != rows:
-        raise SchemaMismatch("replacement resource/ambient grids disagree")
-    cols = len(replacement.resource_map[0])
-    if any(len(row) != cols for row in replacement.resource_map) or any(
-        len(row) != cols for row in replacement.ambient_field
-    ):
-        raise SchemaMismatch("replacement grids are ragged")
-    r, c = replacement.agent_pos
-    if not (0 <= r < rows and 0 <= c < cols):
-        raise SchemaMismatch(f"replacement agent_pos {replacement.agent_pos} out of bounds")
+    current = state.external.resource_map
+    rows, cols = len(current), len(current[0])
+    _check_grid(replacement.resource_map, rows, cols, "replacement resource_map")
+    _check_grid(replacement.ambient_field, rows, cols, "replacement ambient_field")
+    _check_pos(replacement.agent_pos, rows, cols, "replacement agent_pos")
     return replace(state, external=replacement)

@@ -157,19 +157,23 @@ def _season_base_field(grid: GridSpec, season: int) -> tuple[tuple[float, ...], 
     )
 
 
+@lru_cache(maxsize=None)
+def _season_base_array(grid: GridSpec, season: int) -> np.ndarray:
+    base = np.array(_season_base_field(grid, season), dtype=np.float64)
+    base.flags.writeable = False
+    return base
+
+
 def _ambient_field(
     grid: GridSpec, season: int, rng: np.random.Generator
 ) -> tuple[tuple[float, ...], ...]:
-    base = _season_base_field(grid, season)
     if grid.noise_std == 0.0:
-        return base
+        return _season_base_field(grid, season)
     noise = rng.normal(0.0, grid.noise_std, size=(grid.rows, grid.cols))
     # Clip so a pathological draw cannot push the field to +-inf downstream.
     noise = np.clip(noise, -6.0 * grid.noise_std, 6.0 * grid.noise_std)
-    return tuple(
-        tuple(base[r][c] + float(noise[r, c]) for c in range(grid.cols))
-        for r in range(grid.rows)
-    )
+    # One IEEE double add per cell, exactly as a per-cell Python add would do.
+    return tuple(map(tuple, (_season_base_array(grid, season) + noise).tolist()))
 
 
 def advance_season(schedule: SeasonSchedule, t: int) -> int:
@@ -276,6 +280,8 @@ def transition_maps(env: HomeoGridEnv) -> TransitionModel:
         if season != external.season or grid.noise_std > 0.0:
             tags = _season_tags(grid, season)
             field = _ambient_field(grid, season, rng)
+        elif (r, c) == external.agent_pos:
+            return external  # nothing changed, and states are immutable
         else:
             tags = external.resource_map
             field = external.ambient_field

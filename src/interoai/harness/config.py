@@ -34,6 +34,8 @@ class RunSettings:
             raise ConfigError("eval_steps must be >= 1")
         if not self.seeds:
             raise ConfigError("seed list must be non-empty")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seed list has duplicates: {list(self.seeds)}")
 
 
 @dataclass(frozen=True)
@@ -85,6 +87,22 @@ def _get(section: Mapping[str, Any], key: str, where: str) -> Any:
     return section[key]
 
 
+def _int(value: Any, where: str) -> int:
+    """An integral JSON number: 7 and 7.0 pass; 7.9, true and "7" do not."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _bool(section: Mapping[str, Any], key: str, default: bool, where: str) -> bool:
+    """A JSON true/false; strings such as "false" are rejected, not truth-tested."""
+    value = section.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}.{key} must be true or false, got {value!r}")
+    return value
+
+
 def _parse_env(section: Any, drive_section: Any, where: str) -> HomeoGridEnv:
     env = _checked(
         section,
@@ -98,25 +116,26 @@ def _parse_env(section: Any, drive_section: Any, where: str) -> HomeoGridEnv:
     for i, raw in enumerate(_get(env, "seasons", where)):
         s = _checked(raw, {"baseline", "resources"}, f"{where}.seasons[{i}]")
         placements = []
+        cell = f"{where}.seasons[{i}].resources"
         for r, c, tag in _get(s, "resources", f"{where}.seasons[{i}]"):
             try:
-                placements.append((int(r), int(c), Tag[tag]))
+                placements.append((_int(r, cell), _int(c, cell), Tag[tag]))
             except KeyError:
                 raise ConfigError(f"unknown resource tag {tag!r}") from None
         seasons.append(
             SeasonSpec(baseline=float(_get(s, "baseline", where)), placements=tuple(placements))
         )
     grid = GridSpec(
-        rows=int(_get(env, "rows", where)),
-        cols=int(_get(env, "cols", where)),
-        start=tuple(int(v) for v in _get(env, "start", where)),
+        rows=_int(_get(env, "rows", where), f"{where}.rows"),
+        cols=_int(_get(env, "cols", where), f"{where}.cols"),
+        start=tuple(_int(v, f"{where}.start") for v in _get(env, "start", where)),
         seasons=tuple(seasons),
         noise_std=float(env.get("noise_std", 0.0)),
         shade_delta=float(env.get("shade_delta", 8.0)),
     )
     schedule = SeasonSchedule(
-        period=int(_get(env, "period", where)),
-        order=tuple(int(v) for v in _get(env, "order", where)),
+        period=_int(_get(env, "period", where), f"{where}.period"),
+        order=tuple(_int(v, f"{where}.order") for v in _get(env, "order", where)),
     )
     return HomeoGridEnv(
         grid=grid,
@@ -144,7 +163,7 @@ def _parse_drive(section: Any, where: str) -> DriveModel:
         n=float(exponents[0]),
         m=float(exponents[1]),
         viability=tuple((float(lo), float(hi)) for lo, hi in _get(d, "viability", where)),
-        grace_steps=int(_get(d, "grace_steps", where)),
+        grace_steps=_int(_get(d, "grace_steps", where), f"{where}.grace_steps"),
     )
 
 
@@ -164,16 +183,17 @@ def parse_config(doc: Any) -> ExperimentConfig:
         {"kind", "alpha", "gamma", "tau", "bins", "season_visible", "sense_ambient"},
         "agent",
     )
+    # Omitted keys take the dataclass defaults, which live in one place.
     agent = AgentConfig(
         kind=str(_get(a, "kind", "agent")),
-        alpha=float(a.get("alpha", 0.25)),
-        gamma=float(a.get("gamma", 0.95)),
-        tau=float(a.get("tau", 0.2)),
+        alpha=float(a.get("alpha", AgentConfig.alpha)),
+        gamma=float(a.get("gamma", AgentConfig.gamma)),
+        tau=float(a.get("tau", AgentConfig.tau)),
     )
     discretizer = Discretizer(
         internal_edges=_parse_bins(_get(a, "bins", "agent"), "agent.bins"),
-        season_visible=bool(a.get("season_visible", False)),
-        sense_ambient=bool(a.get("sense_ambient", True)),
+        season_visible=_bool(a, "season_visible", Discretizer.season_visible, "agent"),
+        sense_ambient=_bool(a, "sense_ambient", Discretizer.sense_ambient, "agent"),
     )
 
     nm = _checked(
@@ -182,20 +202,20 @@ def parse_config(doc: Any) -> ExperimentConfig:
         "neuromod",
     )
     neuromod = NeuromodConfig(
-        tau_min=float(nm.get("tau_min", 0.05)),
-        tau_max=float(nm.get("tau_max", 1.0)),
-        beta_tau=float(nm.get("beta_tau", 1.0)),
-        beta_g=float(nm.get("beta_g", 1.0)),
-        context_gating=bool(nm.get("context_gating", True)),
+        tau_min=float(nm.get("tau_min", NeuromodConfig.tau_min)),
+        tau_max=float(nm.get("tau_max", NeuromodConfig.tau_max)),
+        beta_tau=float(nm.get("beta_tau", NeuromodConfig.beta_tau)),
+        beta_g=float(nm.get("beta_g", NeuromodConfig.beta_g)),
+        context_gating=_bool(nm, "context_gating", NeuromodConfig.context_gating, "neuromod"),
     )
 
     r = _checked(
         _get(top, "run", "config"), {"train_steps", "eval_steps", "seeds", "out_dir"}, "run"
     )
     run = RunSettings(
-        train_steps=int(_get(r, "train_steps", "run")),
-        eval_steps=int(_get(r, "eval_steps", "run")),
-        seeds=tuple(int(s) for s in _get(r, "seeds", "run")),
+        train_steps=_int(_get(r, "train_steps", "run"), "run.train_steps"),
+        eval_steps=_int(_get(r, "eval_steps", "run"), "run.eval_steps"),
+        seeds=tuple(_int(s, "run.seeds") for s in _get(r, "seeds", "run")),
         out_dir=str(r.get("out_dir", "out")),
     )
 
@@ -205,8 +225,8 @@ def parse_config(doc: Any) -> ExperimentConfig:
         "blanket",
     )
     blanket = BlanketSettings(
-        steps=int(_get(b, "steps", "blanket")),
-        seed=int(b.get("seed", 0)),
+        steps=_int(_get(b, "steps", "blanket"), "blanket.steps"),
+        seed=_int(b.get("seed", 0), "blanket.seed"),
         lam=float(_get(b, "lambda", "blanket")),
         epsilon=float(b.get("epsilon", 1e-3)),
         tol_lo=float(_get(b, "tol_lo", "blanket")),

@@ -78,11 +78,14 @@ def execute_run(config: ExperimentConfig, seed: int) -> RunResult:
     rng_env = stream(seed, 0, "env")
     rng_agent = stream(seed, 0, "agent")
 
+    # Learning agents already know the drive of every state they have seen.
+    drive_of = getattr(agent, "drive_of", None) or (lambda s: drive(dm, s.internal))
+
     state = reset(env, seed)
     tracker = SurvivalTracker(dm.grace_steps)
     records: list[StepRecord] = []
     episode = 0
-    prev_drive = drive(dm, state.internal)
+    prev_drive = drive_of(state)
     record_from = config.run.train_steps
     total = record_from + config.run.eval_steps
     status = Status.Alive
@@ -93,7 +96,7 @@ def execute_run(config: ExperimentConfig, seed: int) -> RunResult:
             sig = agent.last_signals
             nxt = step_factored(model, state, action, rng_env)
             agent.learn(state, action, nxt)
-            d_next = drive(dm, nxt.internal)
+            d_next = drive_of(nxt)
             ok = in_viability(dm, nxt.internal)
             status = tracker.update(ok)
             if step >= record_from:
@@ -122,7 +125,7 @@ def execute_run(config: ExperimentConfig, seed: int) -> RunResult:
                 episode += 1
                 nxt = respawn(env, nxt)
                 tracker.reset()
-                d_next = drive(dm, nxt.internal)
+                d_next = drive_of(nxt)
             state = nxt
             prev_drive = d_next
     except ConfigError:
@@ -205,6 +208,8 @@ def _sweep_worker(payload: tuple[ExperimentConfig, int, str]) -> MetricsRow:
 
 def sweep(config: ExperimentConfig, out_dir: str | None = None, jobs: int = 1) -> MetricsTable:
     """One run per seed; logs and a metrics table written to the output directory."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     directory = Path(out_dir if out_dir is not None else config.run.out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     seeds = sorted(config.run.seeds)

@@ -62,7 +62,7 @@ class RewardSignal:
 
 
 def _check_dim(dm: DriveModel, h: InternalState) -> None:
-    if len(h) != dm.dim:
+    if len(h.values) != len(dm.set_point):
         raise DimensionMismatch(f"internal dim {len(h)} != drive model dim {dm.dim}")
 
 

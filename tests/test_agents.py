@@ -104,9 +104,14 @@ def test_q_update_touches_exactly_one_entry():
     q = QTable()
     q.set("a", Action.MoveN, 3.0)
     q.set("b", Action.MoveS, -1.0)
-    before = dict(q.values)
+    # Entries are read through q.get: the table stores one mutable row per
+    # observation, so a shallow copy of q.values would share the rows.
+    def entries():
+        return {(obs, a): q.get(obs, a) for obs in q.values for a in q.actions}
+
+    before = entries()
     q_update(q, ("a", Action.MoveE, 2.0, "b"), alpha=1.0, gamma=0.0, g=1.0)
-    after = dict(q.values)
+    after = entries()
     changed = {k for k in after if after.get(k) != before.get(k, 0.0)}
     assert changed == {("a", Action.MoveE)}
     assert q.get("a", Action.MoveE) == 2.0  # alpha*g = 1, gamma = 0 writes r
@@ -226,7 +231,7 @@ def test_update_in_one_context_leaves_others_bitwise_unchanged():
     rng = stream(0, 0, "agent")
     a = agent.act(thirsty, rng)
     agent.learn(thirsty, a, dataclasses.replace(thirsty, t=1))
-    snapshot = dict(agent.tables[1].values)
+    snapshot = {obs: list(row) for obs, row in agent.tables[1].values.items()}
     for _ in range(20):
         a = agent.act(hungry, rng)
         agent.learn(hungry, a, dataclasses.replace(hungry, t=1))
@@ -299,3 +304,93 @@ def test_agent_config_validation():
         AgentConfig(gamma=1.0)
     with pytest.raises(ConfigError):
         NeuromodConfig(tau_min=0.5, tau_max=0.5)
+
+
+@pytest.mark.parametrize("kind", ["Random", "ExternalRewardQ", "HomeostaticQ", "Neuromod"])
+def test_key_and_drive_computed_at_most_once_per_state(kind, monkeypatch):
+    # Every state a run touches -- reset, stepped, respawned and probe
+    # states -- gets its observation key and its drive computed at most once.
+    import interoai.agents as agents_mod
+    import interoai.harness.runner as runner_mod
+    from conftest import quick_config_doc
+    from interoai.harness.config import parse_config
+
+    doc = quick_config_doc(train_steps=2500, eval_steps=500, seeds=[0])
+    doc["agent"]["kind"] = kind
+    cfg = parse_config(doc)
+    made = {"states": 0, "respawns": 0}
+    keyed = []
+    drives = [0]
+
+    def counting(fn, counter):
+        def wrapper(*args, **kwargs):
+            made[counter] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def counted_drive(dm, h):
+        drives[0] += 1
+        return drive(dm, h)
+
+    key = agents_mod.Discretizer.key
+
+    def recorded_key(self, state):
+        keyed.append(state)  # holds the state, so ids stay unique
+        return key(self, state)
+
+    monkeypatch.setattr(runner_mod, "step_factored", counting(runner_mod.step_factored, "states"))
+    monkeypatch.setattr(runner_mod, "reset", counting(runner_mod.reset, "states"))
+    monkeypatch.setattr(runner_mod, "respawn", counting(runner_mod.respawn, "respawns"))
+    monkeypatch.setattr(runner_mod, "drive", counted_drive)
+    monkeypatch.setattr(agents_mod, "drive", counted_drive)
+    monkeypatch.setattr(agents_mod.Discretizer, "key", recorded_key)
+
+    runner_mod.execute_run(cfg, 0)
+
+    assert made["respawns"] > 0  # the run covers deaths
+    probes = 2 * cfg.env.grid.rows * cfg.env.grid.cols
+    distinct = made["states"] + made["respawns"] + probes
+    keyed_once = len({id(s) for s in keyed})
+    assert keyed_once == len(keyed)
+    assert len(keyed) <= distinct
+    assert drives[0] <= distinct
+    if kind in ("HomeostaticQ", "Neuromod"):
+        assert len(keyed) >= made["states"]
+
+
+@pytest.mark.parametrize("kind", ["ExternalRewardQ", "HomeostaticQ", "Neuromod"])
+def test_memoized_agent_matches_a_fresh_one_on_states_out_of_order(kind):
+    # Agent `memo` sees the same state objects again and again, in shuffled
+    # order; agent `fresh` gets a new, equal object every time, so it never
+    # reuses anything.  Actions, signals and Q-rows must agree throughout.
+    env = make_tiny_env()
+    states = [reset(env, 0)]
+    for i in range(11):
+        internal = InternalState((0.6 - 0.04 * i, 0.2 + 0.03 * i, 36.0 + 0.4 * i))
+        external = dataclasses.replace(states[0].external, agent_pos=(i % 3, (i * 2) % 3))
+        states.append(dataclasses.replace(states[0], internal=internal, external=external, t=i))
+    nm = NeuromodConfig()
+    memo = make_agent(AgentConfig(kind=kind, alpha=0.5, gamma=0.9), TINY_DRIVE, DISC, nm)
+    fresh = make_agent(AgentConfig(kind=kind, alpha=0.5, gamma=0.9), TINY_DRIVE, DISC, nm)
+    rng_memo, rng_fresh = stream(9, 0, "agent"), stream(9, 0, "agent")
+    order = stream(9, 0, "order")
+
+    def copy_of(state):
+        return dataclasses.replace(state)
+
+    for _ in range(400):
+        i, j = (int(v) for v in order.integers(0, len(states), size=2))
+        s, nxt = states[i], states[j]
+        a = memo.act(s, rng_memo)
+        assert fresh.act(copy_of(s), rng_fresh) == a
+        assert memo.last_signals == fresh.last_signals
+        assert memo.drive_of(nxt) == fresh.drive_of(copy_of(nxt))
+        memo.learn(s, a, nxt)
+        fresh.learn(copy_of(s), a, copy_of(nxt))
+        assert memo.policy_probs(s) == fresh.policy_probs(copy_of(s))
+    assert memo.tables.keys() == fresh.tables.keys()
+    for ctx, table in memo.tables.items():
+        assert table.values == fresh.tables[ctx].values
+        for obs in table.values:
+            assert table.row(obs) == fresh.tables[ctx].row(obs)

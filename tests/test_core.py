@@ -15,6 +15,7 @@ from interoai.core import (
 )
 from interoai.envs import reset, transition_maps
 from interoai.errors import SchemaMismatch
+from interoai.harness.config import default_config, parse_config
 from interoai.rng import stream
 
 from helpers import all_external_states, make_tiny_env
@@ -98,6 +99,55 @@ def test_schema_mismatch_rejected():
         step_factored(model, bad, Action.Rest, stream(0, 0, "env"))
 
 
+def _with_external(state, **changes):
+    return dataclasses.replace(state, external=dataclasses.replace(state.external, **changes))
+
+
+def test_schema_rejects_short_resource_map():
+    env = make_tiny_env()
+    state = reset(env, 0)
+    bad = _with_external(state, resource_map=state.external.resource_map[:2])
+    with pytest.raises(SchemaMismatch, match="resource_map"):
+        step_factored(transition_maps(env), bad, Action.Rest, stream(0, 0, "env"))
+
+
+def test_schema_rejects_ragged_ambient_field():
+    env = make_tiny_env()
+    state = reset(env, 0)
+    field = state.external.ambient_field
+    bad = _with_external(state, ambient_field=(field[0], field[1][:2], field[2]))
+    with pytest.raises(SchemaMismatch, match="ambient_field"):
+        step_factored(transition_maps(env), bad, Action.Rest, stream(0, 0, "env"))
+
+
+def test_schema_rejects_out_of_bounds_agent_pos():
+    env = make_tiny_env()
+    state = reset(env, 0)
+    model = transition_maps(env)
+    for pos in ((3, 1), (1, 3), (-1, 0)):
+        bad = _with_external(state, agent_pos=pos)
+        with pytest.raises(SchemaMismatch, match="agent_pos"):
+            step_factored(model, bad, Action.Rest, stream(0, 0, "env"))
+
+
+def test_schema_check_not_fooled_by_an_earlier_valid_step():
+    # A valid step first, so any shape memo is warm; then a different,
+    # mis-shaped grid must still be scanned and rejected.
+    env = make_tiny_env()
+    model = transition_maps(env)
+    state = reset(env, 0)
+    rng = stream(0, 0, "env")
+    step_factored(model, state, Action.Rest, rng)
+    tags = state.external.resource_map
+    ragged = (tags[0], tags[1], tags[2][:1])
+    with pytest.raises(SchemaMismatch, match="resource_map"):
+        step_factored(model, _with_external(state, resource_map=ragged), Action.Rest, rng)
+    field = state.external.ambient_field
+    long_field = field + (field[0],)
+    with pytest.raises(SchemaMismatch, match="ambient_field"):
+        step_factored(model, _with_external(state, ambient_field=long_field), Action.Rest, rng)
+
+
 def test_perturb_external_swaps_only_external():
     env = make_tiny_env()
     state = reset(env, 0)
@@ -117,6 +167,16 @@ def test_perturb_external_rejects_out_of_bounds():
     bad = dataclasses.replace(state.external, agent_pos=(5, 5))
     with pytest.raises(SchemaMismatch):
         perturb_external(state, bad)
+
+
+def test_perturb_external_rejects_a_world_of_another_shape():
+    # A self-consistent 3x3 world swapped into a 7x7 state: the step engine
+    # would reject the result, so the swap must be rejected up front.
+    big = parse_config(default_config()).env
+    state = reset(big, 0)
+    small = reset(make_tiny_env(), 0).external
+    with pytest.raises(SchemaMismatch):
+        perturb_external(state, small)
 
 
 def test_blanket_invariance_under_external_swap():

@@ -182,3 +182,44 @@ def test_invalid_specs_rejected():
         make_tiny_env(e_gain=0.0)
     with pytest.raises(ConfigError):
         make_tiny_env(c_e=-0.1)
+
+
+def test_noisy_ambient_field_equals_per_cell_sums_bitwise():
+    # The field is built with one numpy add; each cell must be the very
+    # double a per-cell Python add of base and clipped noise gives.
+    import numpy as np
+
+    from interoai.envs import _ambient_field
+
+    env = make_tiny_env()
+    grid = dataclasses.replace(env.grid, noise_std=3.0)
+    for season in range(len(grid.seasons)):
+        base = season_snapshot(dataclasses.replace(env, grid=grid), season)[1]
+        for seed in range(20):
+            field = _ambient_field(grid, season, stream(seed, 0, "field"))
+            noise = stream(seed, 0, "field").normal(0.0, 3.0, size=(grid.rows, grid.cols))
+            noise = np.clip(noise, -18.0, 18.0)
+            expected = tuple(
+                tuple(base[r][c] + float(noise[r, c]) for c in range(grid.cols))
+                for r in range(grid.rows)
+            )
+            assert all(type(v) is float for row in field for v in row)
+            assert [[v.hex() for v in row] for row in field] == [
+                [v.hex() for v in row] for row in expected
+            ]
+
+
+def test_noise_free_step_in_place_returns_the_same_external_state():
+    env = make_tiny_env()
+    model = transition_maps(env)
+    state = reset(env, 0)
+    rng = stream(0, 0, "env")
+    rested = step_factored(model, state, Action.Rest, rng)
+    assert rested.external is state.external
+    moved = step_factored(model, state, Action.MoveN, rng)
+    assert moved.external is not state.external
+    assert moved.external.agent_pos == (0, 1)
+    # Crossing into the next season builds a new world even in place.
+    late = dataclasses.replace(state, t=env.schedule.period - 1)
+    switched = step_factored(model, late, Action.Rest, rng)
+    assert switched.external.season != state.external.season

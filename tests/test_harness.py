@@ -76,6 +76,86 @@ def test_empty_seed_list_rejected(quick_doc):
         parse_config(quick_doc)
 
 
+def test_empty_neuromod_section_takes_the_dataclass_defaults(quick_doc):
+    from interoai.agents import NeuromodConfig
+
+    quick_doc["neuromod"] = {}
+    assert parse_config(quick_doc).neuromod == NeuromodConfig()
+    assert NeuromodConfig().tau_max == 0.3 and NeuromodConfig().beta_tau == 2.5
+
+
+def test_duplicate_seeds_rejected(quick_doc):
+    quick_doc["run"]["seeds"] = [0, 0, 1]
+    with pytest.raises(ConfigError, match="duplicate"):
+        parse_config(quick_doc)
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [("agent", "season_visible"), ("agent", "sense_ambient"), ("neuromod", "context_gating")],
+)
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_flags_must_be_json_bools(quick_doc, section, key, value):
+    quick_doc[section][key] = value
+    with pytest.raises(ConfigError, match=key):
+        parse_config(quick_doc)
+
+
+def test_flags_accept_json_bools(quick_doc):
+    quick_doc["agent"]["season_visible"] = True
+    quick_doc["neuromod"]["context_gating"] = False
+    cfg = parse_config(quick_doc)
+    assert cfg.discretizer.season_visible is True
+    assert cfg.neuromod.context_gating is False
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        ("env", "rows"),
+        ("env", "cols"),
+        ("env", "period"),
+        ("drive", "grace_steps"),
+        ("run", "train_steps"),
+        ("run", "eval_steps"),
+        ("blanket", "steps"),
+    ],
+)
+@pytest.mark.parametrize("value", [7.9, True, "7"])
+def test_counts_must_be_integral(quick_doc, path, value):
+    section, key = path
+    quick_doc[section][key] = value
+    with pytest.raises(ConfigError, match=key):
+        parse_config(quick_doc)
+
+
+def test_integral_floats_and_nested_ints_checked(quick_doc):
+    quick_doc["env"]["rows"] = 7.0
+    assert parse_config(quick_doc).env.grid.rows == 7
+    for where, bad in (("seeds", [0, 1.5]), ("start", [3, 3.5]), ("order", [0, 0.5])):
+        doc = quick_config_doc()
+        (doc["run"] if where == "seeds" else doc["env"])[where] = bad
+        with pytest.raises(ConfigError, match=where):
+            parse_config(doc)
+
+
+def test_sweep_rejects_jobs_below_one_before_any_work(tmp_path, monkeypatch):
+    import interoai.harness.runner as runner_mod
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("no run or pool may start")
+
+    monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", must_not_run)
+    monkeypatch.setattr(runner_mod, "execute_run", must_not_run)
+    cfg = parse_config(quick_config_doc())
+    for jobs in (0, -2):
+        with pytest.raises(ConfigError, match="jobs"):
+            sweep(cfg, str(tmp_path / "out"), jobs=jobs)
+    cfg_path = _write_config(tmp_path, quick_config_doc())
+    assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "out"), "--jobs", "0"]) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "absent.json")
