@@ -48,12 +48,12 @@ from .core import (
 from .envs import CORE_TEMP, HomeoGridEnv, Status, SurvivalTracker, respawn, reset, transition_maps
 from .errors import ConfigError, EmptyDataset, NonFiniteValue
 from .homeostat import in_viability
-from .rng import stream
+from .rng import BlockStream, stream
 
-Policy = Callable[[FactoredState, np.random.Generator], Action]
+Policy = Callable[[FactoredState, BlockStream], Action]
 
 
-def uniform_random_policy(state: FactoredState, rng: np.random.Generator) -> Action:
+def uniform_random_policy(state: FactoredState, rng: np.random.Generator | BlockStream) -> Action:
     return ACTIONS[int(rng.integers(0, len(ACTIONS)))]
 
 
@@ -107,36 +107,45 @@ def collect_transitions(
     seed: int,
     discretizer: Discretizer,
 ) -> TransitionDataset:
-    """Roll the policy for `steps` transitions, concatenating episodes on death."""
+    """Roll the policy for `steps` transitions, concatenating episodes on death.
+
+    The policy draws from a `BlockStream`, so it must make one kind of draw
+    with the same arguments every time, as `uniform_random_policy` does.
+    """
     if steps < 1:
         raise ConfigError("steps must be >= 1")
     model = transition_maps(env)
     sym = BlanketSymbolizer(discretizer)
-    rng_env = stream(seed, 0, "blanket-env")
-    rng_policy = stream(seed, 0, "blanket-policy")
+    internal_symbol = sym.internal_symbol
+    boundary_symbol = sym.boundary_symbol
+    external_symbol = sym.external_symbol
+    rng_env = BlockStream(seed, 0, "blanket-env")
+    rng_policy = BlockStream(seed, 0, "blanket-policy")
     state = reset(env, seed)
     tracker = SurvivalTracker(env.drive_model.grace_steps)
     dm = env.drive_model
 
     transitions: list[tuple] = []
     counts: dict[tuple, float] = {}
+    # The symbol of i_{t+1} is the next record's i_t, unless a respawn
+    # replaces the body in between.
+    i_sym = internal_symbol(state.internal)
     for _ in range(steps):
         action = policy(state, rng_policy)
         nxt = step_factored(model, state, action, rng_env)
-        record = (
-            sym.internal_symbol(state.internal),
-            sym.boundary_symbol(state.boundary),
-            sym.external_symbol(state.external),
-            int(action),
-            sym.internal_symbol(nxt.internal),
-        )
-        transitions.append(record)
-        key = (record[4], record[2], (record[0], record[1], record[3]))
+        i_next = internal_symbol(nxt.internal)
+        b_sym = boundary_symbol(state.boundary)
+        e_sym = external_symbol(state.external)
+        a = int(action)
+        transitions.append((i_sym, b_sym, e_sym, a, i_next))
+        key = (i_next, e_sym, (i_sym, b_sym, a))
         counts[key] = counts.get(key, 0.0) + 1.0
         if tracker.update(in_viability(dm, nxt.internal)) is Status.Dead:
             nxt = respawn(env, nxt)
             tracker.reset()
+            i_next = internal_symbol(nxt.internal)
         state = nxt
+        i_sym = i_next
     return TransitionDataset(transitions=transitions, counts=counts)
 
 

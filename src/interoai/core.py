@@ -151,8 +151,11 @@ _MEMO_GRIDS = 8
 
 def _check_grid(grid, rows: int, cols: int, what: str, memo: Optional[dict] = None) -> None:
     """Raise SchemaMismatch unless `grid` has `rows` rows of `cols` cells each."""
-    if len(grid) != rows or any(len(row) != cols for row in grid):
+    if len(grid) != rows:
         raise SchemaMismatch(f"{what} shape disagrees with {rows}x{cols}")
+    for row in grid:
+        if len(row) != cols:
+            raise SchemaMismatch(f"{what} shape disagrees with {rows}x{cols}")
     if memo is not None:
         if len(memo) >= _MEMO_GRIDS:
             memo.clear()

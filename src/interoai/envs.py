@@ -18,6 +18,7 @@ verifier must flag it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace as dc_replace
 from enum import Enum
 from functools import lru_cache
@@ -37,7 +38,7 @@ from .core import (
 )
 from .errors import ConfigError
 from .homeostat import DriveModel
-from .rng import stream
+from .rng import BlockStream, stream
 
 ENERGY, HYDRATION, CORE_TEMP = 0, 1, 2
 INTERNAL_DIM = 3
@@ -107,6 +108,12 @@ class HomeoGridEnv:
 
 def validate_env(env: HomeoGridEnv) -> None:
     g = env.grid
+    named = [("noise_std", g.noise_std), ("shade_delta", g.shade_delta)]
+    named += [(f"season {i} baseline", s.baseline) for i, s in enumerate(g.seasons)]
+    named += [(k, getattr(env, k)) for k in ("c_e", "c_h", "e_gain", "w_gain", "kappa", "leak")]
+    for name, value in named:
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
     if g.rows < 1 or g.cols < 1:
         raise ConfigError("grid must have positive dimensions")
     if not (0 <= g.start[0] < g.rows and 0 <= g.start[1] < g.cols):
@@ -164,16 +171,26 @@ def _season_base_array(grid: GridSpec, season: int) -> np.ndarray:
     return base
 
 
+def _noisy_field(
+    base: np.ndarray, noise_std: float, rng: np.random.Generator | BlockStream
+) -> tuple[tuple[float, ...], ...]:
+    """`base` plus one clipped normal draw per cell.
+
+    Clip so a pathological draw cannot push the field to +-inf downstream;
+    then one IEEE double add per cell, exactly as a per-cell Python add
+    would do.
+    """
+    noise = rng.normal(0.0, noise_std, size=base.shape)
+    bound = 6.0 * noise_std
+    return tuple(map(tuple, (base + noise.clip(-bound, bound)).tolist()))
+
+
 def _ambient_field(
-    grid: GridSpec, season: int, rng: np.random.Generator
+    grid: GridSpec, season: int, rng: np.random.Generator | BlockStream
 ) -> tuple[tuple[float, ...], ...]:
     if grid.noise_std == 0.0:
         return _season_base_field(grid, season)
-    noise = rng.normal(0.0, grid.noise_std, size=(grid.rows, grid.cols))
-    # Clip so a pathological draw cannot push the field to +-inf downstream.
-    noise = np.clip(noise, -6.0 * grid.noise_std, 6.0 * grid.noise_std)
-    # One IEEE double add per cell, exactly as a per-cell Python add would do.
-    return tuple(map(tuple, (_season_base_array(grid, season) + noise).tolist()))
+    return _noisy_field(_season_base_array(grid, season), grid.noise_std, rng)
 
 
 def advance_season(schedule: SeasonSchedule, t: int) -> int:
@@ -263,11 +280,18 @@ def transition_maps(env: HomeoGridEnv) -> TransitionModel:
             )
         )
 
+    # Bound once so a step neither hashes the grid nor looks a season up.
+    seasons = range(len(grid.seasons))
+    season_tags = tuple(_season_tags(grid, s) for s in seasons)
+    season_fields = tuple(_season_base_field(grid, s) for s in seasons)
+    season_bases = tuple(_season_base_array(grid, s) for s in seasons)
+    noise_std = grid.noise_std
+
     def f_e(
         external: ExternalState,
         boundary: BoundaryState,
         action: Action,
-        rng: np.random.Generator,
+        rng: np.random.Generator | BlockStream,
         t_next: int,
     ) -> ExternalState:
         r, c = external.agent_pos
@@ -277,9 +301,12 @@ def transition_maps(env: HomeoGridEnv) -> TransitionModel:
             if 0 <= nr < grid.rows and 0 <= nc < grid.cols:
                 r, c = nr, nc
         season = advance_season(schedule, t_next)
-        if season != external.season or grid.noise_std > 0.0:
-            tags = _season_tags(grid, season)
-            field = _ambient_field(grid, season, rng)
+        if noise_std > 0.0:
+            tags = season_tags[season]
+            field = _noisy_field(season_bases[season], noise_std, rng)
+        elif season != external.season:
+            tags = season_tags[season]
+            field = season_fields[season]
         elif (r, c) == external.agent_pos:
             return external  # nothing changed, and states are immutable
         else:

@@ -21,5 +21,9 @@ class NonFiniteValue(ArithmeticError):
     """A computation produced NaN or infinity where a finite value is required."""
 
 
+class StreamMisuse(RuntimeError):
+    """A block stream was asked for a draw other than the one it is locked to."""
+
+
 class RuntimeFailure(RuntimeError):
     """An experiment run failed; message carries the step index when known."""

@@ -9,6 +9,7 @@ it directly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
@@ -95,6 +96,18 @@ def _int(value: Any, where: str) -> int:
     return int(value)
 
 
+def _float(value: Any, where: str) -> float:
+    """A finite JSON number: NaN, Infinity, true and "0.5" are rejected."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the double range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ConfigError(f"{where} must be a finite number, got {value!r}")
+
+
 def _bool(section: Mapping[str, Any], key: str, default: bool, where: str) -> bool:
     """A JSON true/false; strings such as "false" are rejected, not truth-tested."""
     value = section.get(key, default)
@@ -123,15 +136,18 @@ def _parse_env(section: Any, drive_section: Any, where: str) -> HomeoGridEnv:
             except KeyError:
                 raise ConfigError(f"unknown resource tag {tag!r}") from None
         seasons.append(
-            SeasonSpec(baseline=float(_get(s, "baseline", where)), placements=tuple(placements))
+            SeasonSpec(
+                baseline=_float(_get(s, "baseline", where), f"{where}.seasons[{i}].baseline"),
+                placements=tuple(placements),
+            )
         )
     grid = GridSpec(
         rows=_int(_get(env, "rows", where), f"{where}.rows"),
         cols=_int(_get(env, "cols", where), f"{where}.cols"),
         start=tuple(_int(v, f"{where}.start") for v in _get(env, "start", where)),
         seasons=tuple(seasons),
-        noise_std=float(env.get("noise_std", 0.0)),
-        shade_delta=float(env.get("shade_delta", 8.0)),
+        noise_std=_float(env.get("noise_std", 0.0), f"{where}.noise_std"),
+        shade_delta=_float(env.get("shade_delta", 8.0), f"{where}.shade_delta"),
     )
     schedule = SeasonSchedule(
         period=_int(_get(env, "period", where), f"{where}.period"),
@@ -141,12 +157,12 @@ def _parse_env(section: Any, drive_section: Any, where: str) -> HomeoGridEnv:
         grid=grid,
         schedule=schedule,
         drive_model=_parse_drive(drive_section, where + " drive"),
-        c_e=float(_get(env, "c_e", where)),
-        c_h=float(_get(env, "c_h", where)),
-        e_gain=float(_get(env, "e_gain", where)),
-        w_gain=float(_get(env, "w_gain", where)),
-        kappa=float(_get(env, "kappa", where)),
-        leak=float(env.get("leak", 0.0)),
+        c_e=_float(_get(env, "c_e", where), f"{where}.c_e"),
+        c_h=_float(_get(env, "c_h", where), f"{where}.c_h"),
+        e_gain=_float(_get(env, "e_gain", where), f"{where}.e_gain"),
+        w_gain=_float(_get(env, "w_gain", where), f"{where}.w_gain"),
+        kappa=_float(_get(env, "kappa", where), f"{where}.kappa"),
+        leak=_float(env.get("leak", 0.0), f"{where}.leak"),
     )
 
 
@@ -158,11 +174,14 @@ def _parse_drive(section: Any, where: str) -> DriveModel:
     if len(exponents) != 2:
         raise ConfigError(f"{where}.exponents must be [n, m]")
     return DriveModel(
-        set_point=tuple(float(v) for v in _get(d, "set_point", where)),
-        weights=tuple(float(v) for v in _get(d, "weights", where)),
-        n=float(exponents[0]),
-        m=float(exponents[1]),
-        viability=tuple((float(lo), float(hi)) for lo, hi in _get(d, "viability", where)),
+        set_point=tuple(_float(v, f"{where}.set_point") for v in _get(d, "set_point", where)),
+        weights=tuple(_float(v, f"{where}.weights") for v in _get(d, "weights", where)),
+        n=_float(exponents[0], f"{where}.exponents"),
+        m=_float(exponents[1], f"{where}.exponents"),
+        viability=tuple(
+            (_float(lo, f"{where}.viability"), _float(hi, f"{where}.viability"))
+            for lo, hi in _get(d, "viability", where)
+        ),
         grace_steps=_int(_get(d, "grace_steps", where), f"{where}.grace_steps"),
     )
 
@@ -170,7 +189,7 @@ def _parse_drive(section: Any, where: str) -> DriveModel:
 def _parse_bins(raw: Any, where: str) -> tuple[tuple[float, ...], ...]:
     if len(raw) != INTERNAL_DIM:
         raise ConfigError(f"{where} needs {INTERNAL_DIM} edge lists")
-    return tuple(tuple(float(v) for v in edges) for edges in raw)
+    return tuple(tuple(_float(v, where) for v in edges) for edges in raw)
 
 
 def parse_config(doc: Any) -> ExperimentConfig:
@@ -186,9 +205,9 @@ def parse_config(doc: Any) -> ExperimentConfig:
     # Omitted keys take the dataclass defaults, which live in one place.
     agent = AgentConfig(
         kind=str(_get(a, "kind", "agent")),
-        alpha=float(a.get("alpha", AgentConfig.alpha)),
-        gamma=float(a.get("gamma", AgentConfig.gamma)),
-        tau=float(a.get("tau", AgentConfig.tau)),
+        alpha=_float(a.get("alpha", AgentConfig.alpha), "agent.alpha"),
+        gamma=_float(a.get("gamma", AgentConfig.gamma), "agent.gamma"),
+        tau=_float(a.get("tau", AgentConfig.tau), "agent.tau"),
     )
     discretizer = Discretizer(
         internal_edges=_parse_bins(_get(a, "bins", "agent"), "agent.bins"),
@@ -202,10 +221,10 @@ def parse_config(doc: Any) -> ExperimentConfig:
         "neuromod",
     )
     neuromod = NeuromodConfig(
-        tau_min=float(nm.get("tau_min", NeuromodConfig.tau_min)),
-        tau_max=float(nm.get("tau_max", NeuromodConfig.tau_max)),
-        beta_tau=float(nm.get("beta_tau", NeuromodConfig.beta_tau)),
-        beta_g=float(nm.get("beta_g", NeuromodConfig.beta_g)),
+        tau_min=_float(nm.get("tau_min", NeuromodConfig.tau_min), "neuromod.tau_min"),
+        tau_max=_float(nm.get("tau_max", NeuromodConfig.tau_max), "neuromod.tau_max"),
+        beta_tau=_float(nm.get("beta_tau", NeuromodConfig.beta_tau), "neuromod.beta_tau"),
+        beta_g=_float(nm.get("beta_g", NeuromodConfig.beta_g), "neuromod.beta_g"),
         context_gating=_bool(nm, "context_gating", NeuromodConfig.context_gating, "neuromod"),
     )
 
@@ -227,10 +246,10 @@ def parse_config(doc: Any) -> ExperimentConfig:
     blanket = BlanketSettings(
         steps=_int(_get(b, "steps", "blanket"), "blanket.steps"),
         seed=_int(b.get("seed", 0), "blanket.seed"),
-        lam=float(_get(b, "lambda", "blanket")),
-        epsilon=float(b.get("epsilon", 1e-3)),
-        tol_lo=float(_get(b, "tol_lo", "blanket")),
-        tol_hi=float(_get(b, "tol_hi", "blanket")),
+        lam=_float(_get(b, "lambda", "blanket"), "blanket.lambda"),
+        epsilon=_float(b.get("epsilon", 1e-3), "blanket.epsilon"),
+        tol_lo=_float(_get(b, "tol_lo", "blanket"), "blanket.tol_lo"),
+        tol_hi=_float(_get(b, "tol_hi", "blanket"), "blanket.tol_hi"),
         env=_parse_env(_get(b, "env", "blanket"), _get(b, "drive", "blanket"), "blanket.env"),
         discretizer=Discretizer(internal_edges=_parse_bins(_get(b, "bins", "blanket"), "blanket.bins")),
     )

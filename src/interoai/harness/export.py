@@ -9,6 +9,8 @@ or plotting backend is involved.
 from __future__ import annotations
 
 import json
+import os
+import uuid
 from pathlib import Path
 from typing import Iterable
 
@@ -148,8 +150,20 @@ def drive_svg_text(log: EpisodeLog, width: int = 900, height: int = 260) -> str:
 
 
 def write_text(path: str | Path, text: str) -> Path:
+    """Write `text` as UTF-8, atomically: readers see the old file or the new one.
+
+    The bytes go to a temporary file beside `path`, which then replaces it,
+    so an interrupted or failed write never leaves a truncated artifact.
+    """
     path = Path(path)
-    path.write_bytes(text.encode("utf-8"))
+    temp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(temp, "xb") as fh:
+            fh.write(text.encode("utf-8"))
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
     return path
 
 

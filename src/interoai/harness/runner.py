@@ -52,7 +52,7 @@ from ..envs import (
 )
 from ..errors import ConfigError, RuntimeFailure
 from ..homeostat import drive, in_viability
-from ..rng import stream
+from ..rng import BlockStream
 from .config import ExperimentConfig
 from .export import export
 from .metrics import EpisodeLog, MetricsRow, MetricsTable, StepRecord, build_metrics_row
@@ -75,8 +75,8 @@ def execute_run(config: ExperimentConfig, seed: int) -> RunResult:
     dm = env.drive_model
     model = transition_maps(env)
     agent = make_agent(config.agent, dm, config.discretizer, config.neuromod)
-    rng_env = stream(seed, 0, "env")
-    rng_agent = stream(seed, 0, "agent")
+    rng_env = BlockStream(seed, 0, "env")
+    rng_agent = BlockStream(seed, 0, "agent")
 
     # Learning agents already know the drive of every state they have seen.
     drive_of = getattr(agent, "drive_of", None) or (lambda s: drive(dm, s.internal))
@@ -168,7 +168,7 @@ def probe_entropies(
     satiated, deficit = probe_internal_states(env)
     season = env.schedule.order[0]
     tags, field = season_snapshot(env, season)
-    rng = stream(seed, 0, "probe")
+    rng = BlockStream(seed, 0, "probe")
     out = []
     for r in range(env.grid.rows):
         for c in range(env.grid.cols):
@@ -214,6 +214,7 @@ def sweep(config: ExperimentConfig, out_dir: str | None = None, jobs: int = 1) -
     directory.mkdir(parents=True, exist_ok=True)
     seeds = sorted(config.run.seeds)
     payloads = [(config, seed, str(directory)) for seed in seeds]
+    jobs = min(jobs, len(seeds))  # a worker beyond one per seed would sit idle
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_worker, payloads))

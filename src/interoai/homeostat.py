@@ -16,6 +16,7 @@ All functions here are pure and stateless.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import InternalState
@@ -35,6 +36,10 @@ class DriveModel:
 
     def __post_init__(self) -> None:
         k = len(self.set_point)
+        values = (*self.set_point, *self.weights, self.n, self.m)
+        values += tuple(v for zone in self.viability for v in zone)
+        if not all(map(math.isfinite, values)):
+            raise ConfigError("set point, weights, exponents and viability bounds must be finite")
         if len(self.weights) != k:
             raise ConfigError("weights and set_point dimensions differ")
         if self.viability and len(self.viability) != k:

@@ -223,3 +223,67 @@ def test_jacobian_rejects_bad_epsilon():
     state = reset(env, 0)
     with pytest.raises(ConfigError):
         jacobian_sparsity(model, state, Action.Rest, 0.0)
+
+
+def _collect_symbolizing_every_state_twice(env, steps, seed, disc):
+    """The transition collector as first written: every state symbolized afresh."""
+    from interoai.blanket import BlanketSymbolizer
+    from interoai.core import step_factored
+    from interoai.envs import Status, SurvivalTracker, respawn
+    from interoai.homeostat import in_viability
+    from interoai.rng import stream
+
+    model = transition_maps(env)
+    sym = BlanketSymbolizer(disc)
+    rng_env = stream(seed, 0, "blanket-env")
+    rng_policy = stream(seed, 0, "blanket-policy")
+    state = reset(env, seed)
+    tracker = SurvivalTracker(env.drive_model.grace_steps)
+    transitions, counts = [], {}
+    for _ in range(steps):
+        action = uniform_random_policy(state, rng_policy)
+        nxt = step_factored(model, state, action, rng_env)
+        record = (
+            sym.internal_symbol(state.internal),
+            sym.boundary_symbol(state.boundary),
+            sym.external_symbol(state.external),
+            int(action),
+            sym.internal_symbol(nxt.internal),
+        )
+        transitions.append(record)
+        key = (record[4], record[2], (record[0], record[1], record[3]))
+        counts[key] = counts.get(key, 0.0) + 1.0
+        if tracker.update(in_viability(env.drive_model, nxt.internal)) is Status.Dead:
+            nxt = respawn(env, nxt)
+            tracker.reset()
+        state = nxt
+    return transitions, counts
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+def test_collect_symbolizes_each_internal_state_once(monkeypatch, coupled):
+    import interoai.blanket as blanket_mod
+
+    env = make_coupled_variant(ci_env(), 0.2) if coupled else ci_env()
+    disc = ci_discretizer()
+    steps = 600
+    expected = _collect_symbolizing_every_state_twice(env, steps, 3, disc)
+
+    calls = {"bins": 0, "respawn": 0}
+    bins, respawn = Discretizer.internal_bins, blanket_mod.respawn
+
+    def counted_bins(self, values):
+        calls["bins"] += 1
+        return bins(self, values)
+
+    def counted_respawn(*args):
+        calls["respawn"] += 1
+        return respawn(*args)
+
+    monkeypatch.setattr(Discretizer, "internal_bins", counted_bins)
+    monkeypatch.setattr(blanket_mod, "respawn", counted_respawn)
+    ds = collect_transitions(env, uniform_random_policy, steps, 3, disc)
+    assert calls["respawn"] > 0
+    assert calls["bins"] <= steps + 1 + calls["respawn"]
+    assert ds.transitions == expected[0]
+    assert ds.counts == expected[1]

@@ -1,6 +1,7 @@
 """HomeoGrid dynamics: reset, maps, seasons, survival, coupled control."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -182,6 +183,21 @@ def test_invalid_specs_rejected():
         make_tiny_env(e_gain=0.0)
     with pytest.raises(ConfigError):
         make_tiny_env(c_e=-0.1)
+
+
+@pytest.mark.parametrize("field", ["c_e", "e_gain", "leak"])
+def test_non_finite_env_floats_rejected(field):
+    with pytest.raises(ConfigError, match=field):
+        make_tiny_env(**{field: math.nan})
+
+
+@pytest.mark.parametrize("noise", [math.nan, math.inf])
+def test_non_finite_noise_std_rejected(noise):
+    # A NaN noise_std used to pass: f_e read it as noise-free (nan > 0 is
+    # false) while reset drew NaN noise.
+    env = make_tiny_env()
+    with pytest.raises(ConfigError, match="noise_std"):
+        dataclasses.replace(env, grid=dataclasses.replace(env.grid, noise_std=noise))
 
 
 def test_noisy_ambient_field_equals_per_cell_sums_bitwise():

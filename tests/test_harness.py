@@ -16,6 +16,7 @@ from interoai.harness.export import (
     log_csv_text,
     metrics_csv_text,
     read_log_csv,
+    write_text,
 )
 from interoai.harness.metrics import (
     METRICS_HEADER,
@@ -154,6 +155,64 @@ def test_sweep_rejects_jobs_below_one_before_any_work(tmp_path, monkeypatch):
     cfg_path = _write_config(tmp_path, quick_config_doc())
     assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "out"), "--jobs", "0"]) == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("drive", "weights", 0), math.nan),
+        (("env", "c_e"), math.nan),
+        (("env", "noise_std"), math.nan),
+        (("blanket", "env", "noise_std"), math.inf),
+        (("blanket", "drive", "set_point", 2), -math.inf),
+        (("agent", "tau"), "0.2"),
+        (("agent", "alpha"), True),
+    ],
+)
+def test_config_floats_must_be_finite_numbers(quick_doc, path, value):
+    *outer, key = path
+    section = quick_doc
+    for part in outer:
+        section = section[part]
+    section[key] = value
+    name = key if isinstance(key, str) else outer[-1]
+    with pytest.raises(ConfigError, match=name):
+        parse_config(quick_doc)
+
+
+def test_nan_literal_in_config_file_rejected(tmp_path):
+    # Python's json module reads the non-standard NaN and Infinity literals.
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(quick_config_doc()).replace('"c_e": 0.02', '"c_e": NaN'))
+    with pytest.raises(ConfigError, match="c_e"):
+        load_config(path)
+
+
+def test_sweep_caps_workers_at_the_seed_count(tmp_path, monkeypatch):
+    import interoai.harness.runner as runner_mod
+
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", InlinePool)
+    cfg = parse_config(quick_config_doc(train_steps=0, eval_steps=20, seeds=[0, 1]))
+    sweep(cfg, str(tmp_path / "two"), jobs=8)
+    assert pools == [2]
+    cfg = parse_config(quick_config_doc(train_steps=0, eval_steps=20, seeds=[5]))
+    sweep(cfg, str(tmp_path / "one"), jobs=4)
+    assert pools == [2]  # one seed runs in this process, without a pool
 
 
 def test_load_config_missing_file(tmp_path):
@@ -328,6 +387,66 @@ def test_export_reexport_identical(quick_cfg, tmp_path):
 def test_empty_table_exports_header_only(tmp_path):
     path = export(MetricsTable(rows=[]), tmp_path / "empty.csv")
     assert path.read_text(encoding="utf-8") == METRICS_HEADER + "\n"
+
+
+def _fail_midway(error):
+    """An `open` whose files write half of what they are given, then raise."""
+
+    class HalfWriter:
+        def __init__(self, path, mode):
+            self.fh = open(path, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+            return False
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            raise error
+
+    return HalfWriter
+
+
+@pytest.mark.parametrize("error", [OSError(28, "No space left on device"), KeyboardInterrupt()])
+def test_failed_write_leaves_previous_artifact_and_no_partial_file(tmp_path, monkeypatch, error):
+    import interoai.harness.export as export_mod
+
+    path = tmp_path / "metrics.csv"
+    write_text(path, "old contents\n")
+    monkeypatch.setattr(export_mod, "open", _fail_midway(error), raising=False)
+    with pytest.raises(type(error)):
+        write_text(path, "new contents that never land\n")
+    assert path.read_text(encoding="utf-8") == "old contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
+
+
+def test_failed_replace_leaves_previous_artifact_and_no_partial_file(tmp_path, monkeypatch):
+    import interoai.harness.export as export_mod
+
+    def refuse(src, dst):
+        raise PermissionError("replace refused")
+
+    path = tmp_path / "blanket.json"
+    write_text(path, "{}\n")
+    monkeypatch.setattr(export_mod.os, "replace", refuse)
+    with pytest.raises(PermissionError):
+        write_text(path, '{"passed": true}\n')
+    assert path.read_text(encoding="utf-8") == "{}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["blanket.json"]
+
+
+def test_atomic_write_keeps_bytes_and_file_mode(tmp_path):
+    text = "a,b\n1,2.5\n\u00e9\n"
+    path = write_text(tmp_path / "new.csv", text)
+    write_text(path, text)  # over an existing file as well
+    plain = tmp_path / "plain.csv"
+    plain.write_bytes(text.encode("utf-8"))
+    assert path.read_bytes() == plain.read_bytes()
+    assert path.stat().st_mode == plain.stat().st_mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["new.csv", "plain.csv"]
 
 
 def test_log_roundtrip(quick_cfg, tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from interoai.core import ACTIONS, InternalState
 from interoai.envs import reset, transition_maps
-from interoai.errors import DimensionMismatch
+from interoai.errors import ConfigError, DimensionMismatch
 from interoai.homeostat import (
     DriveModel,
     dominant_deficit,
@@ -122,3 +122,19 @@ def test_dominant_deficit_scale_invariant(scale):
     scaled = DriveModel(set_point=(0.0, 0.0, 0.0), weights=(2.0 * scale, scale, 0.5 * scale))
     h = InternalState((1.0, 1.4, 2.0))
     assert dominant_deficit(dm, h) == dominant_deficit(scaled, h)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(weights=(math.nan, 1.0)),
+        dict(set_point=(0.5, math.inf)),
+        dict(n=math.nan),
+        dict(viability=((0.0, 1.0), (-math.inf, 1.0))),
+    ],
+)
+def test_drive_model_rejects_non_finite_values(fields):
+    spec = dict(set_point=(0.5, 0.5), weights=(1.0, 1.0), viability=((0.0, 1.0), (0.0, 1.0)))
+    spec.update(fields)
+    with pytest.raises(ConfigError, match="finite"):
+        DriveModel(**spec)
