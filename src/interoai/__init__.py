@@ -21,7 +21,6 @@ from .core import (
 )
 from .homeostat import (
     DriveModel,
-    RewardSignal,
     dominant_deficit,
     drive,
     homeostatic_reward,
@@ -36,7 +35,6 @@ from .envs import (
     advance_season,
     make_coupled_variant,
     reset,
-    terminal_check,
     transition_maps,
 )
 from .agents import (
@@ -45,7 +43,6 @@ from .agents import (
     ModulationSignals,
     NeuromodConfig,
     QTable,
-    discretize,
     make_agent,
     modulate,
     q_select,

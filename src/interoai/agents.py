@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ACTIONS, Action, FactoredState, Tag
-from .errors import ConfigError, NonFiniteValue
+from .errors import ConfigError, NonFiniteValue, require_finite
 from .homeostat import DriveModel, dominant_deficit, drive
 
 ObsKey = tuple
@@ -59,8 +59,14 @@ class Discretizer:
 
     def __post_init__(self) -> None:
         for edges in self.internal_edges:
+            if not all(map(math.isfinite, edges)):
+                raise ConfigError(f"bin edges must be finite, got {edges}")
             if any(b <= a for a, b in zip(edges, edges[1:])):
                 raise ConfigError("bin edges must be strictly increasing")
+
+    def ambient_bin(self, x: float) -> int:
+        """Bin of a sensed ambient temperature: the last edge set, core temperature's."""
+        return bisect_right(self.internal_edges[-1], x)
 
     def internal_bins(self, values: tuple[float, ...]) -> tuple[int, ...]:
         if len(values) != len(self.internal_edges):
@@ -79,8 +85,8 @@ class Discretizer:
     def key(self, state: FactoredState) -> ObsKey:
         """External features, then the boundary features, then the internal bins.
 
-        Built in one pass; the parts are those `external_features` and
-        `internal_bins` return.
+        Built in one pass; the parts are those `external_features`,
+        `ambient_bin` and `internal_bins` return.
         """
         ext, b = state.external, state.boundary
         values = state.internal.values
@@ -94,14 +100,9 @@ class Discretizer:
         key.append(0 if b.flux_food == 0.0 else 1)
         key.append(0 if b.flux_water == 0.0 else 1)
         if self.sense_ambient:
-            key.append(bisect_right(edges[-1], b.sensed_ambient))
+            key.append(self.ambient_bin(b.sensed_ambient))
         key.extend(map(bisect_right, edges, values))
         return tuple(key)
-
-
-def discretize(d: Discretizer, state: FactoredState) -> ObsKey:
-    """Full observation key: external, boundary, and internal-bin features."""
-    return d.key(state)
 
 
 class QTable:
@@ -198,6 +199,7 @@ class NeuromodConfig:
     context_gating: bool = True
 
     def __post_init__(self) -> None:
+        require_finite(self, "tau_min", "tau_max", "beta_tau", "beta_g")
         if not (0.0 < self.tau_min < self.tau_max):
             raise ConfigError("need 0 < tau_min < tau_max")
         if self.beta_tau <= 0.0:
@@ -237,6 +239,7 @@ class AgentConfig:
     def __post_init__(self) -> None:
         if self.kind not in AGENT_KINDS:
             raise ConfigError(f"unknown agent kind {self.kind!r}")
+        require_finite(self, "alpha", "gamma", "tau")
         if not (0.0 < self.alpha <= 1.0):
             raise ConfigError("alpha must lie in (0, 1]")
         if not (0.0 <= self.gamma < 1.0):

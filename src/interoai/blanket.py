@@ -2,7 +2,7 @@
 
 Two independent probes of the same claim:
 
-1. Conditional mutual information.  Collect transitions, discretize each
+1. Conditional mutual information.  Collect transitions, bin each
    component to a small alphabet, and estimate
 
        I( I_{t+1} ; E_t | I_t, B_t, A_t )
@@ -26,7 +26,6 @@ and exactly checkable.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Mapping
@@ -45,7 +44,7 @@ from .core import (
     internal_update,
     step_factored,
 )
-from .envs import CORE_TEMP, HomeoGridEnv, Status, SurvivalTracker, respawn, reset, transition_maps
+from .envs import HomeoGridEnv, Status, SurvivalTracker, respawn, reset, transition_maps
 from .errors import ConfigError, EmptyDataset, NonFiniteValue
 from .homeostat import in_viability
 from .rng import BlockStream, stream
@@ -62,7 +61,8 @@ class BlanketSymbolizer:
     """Discretizes (i, b, e) components to the alphabets the CI test uses.
 
     Internal values reuse the discretizer's bin edges; the sensed ambient
-    temperature is binned with the core-temperature edges (same units); the
+    temperature takes the discretizer's `ambient_bin` (core-temperature
+    edges, same units), as in the agents' observation key; the
     ingestion flux takes one of two exact levels per channel, so zero versus
     non-zero captures it losslessly.
     """
@@ -73,9 +73,8 @@ class BlanketSymbolizer:
         return self.discretizer.internal_bins(internal.values)
 
     def boundary_symbol(self, boundary: BoundaryState) -> tuple[int, int, int]:
-        temp_edges = self.discretizer.internal_edges[CORE_TEMP]
         return (
-            bisect_right(temp_edges, boundary.sensed_ambient),
+            self.discretizer.ambient_bin(boundary.sensed_ambient),
             0 if boundary.flux_food == 0.0 else 1,
             0 if boundary.flux_water == 0.0 else 1,
         )
@@ -185,15 +184,6 @@ def cmi_from_counts(counts: Mapping[tuple, float]) -> float:
             continue
         acc += c * math.log((c * n_z[z]) / (n_xz[(x, z)] * n_yz[(y, z)]))
     return max(acc / total, 0.0)
-
-
-def entropy_from_counts(counts: Mapping[tuple, float], component: int) -> float:
-    """Marginal entropy (nats) of one key component of the counts table."""
-    total = sum(counts.values())
-    marg: dict = {}
-    for key, c in counts.items():
-        marg[key[component]] = marg.get(key[component], 0.0) + c
-    return -sum((c / total) * math.log(c / total) for c in marg.values() if c > 0.0)
 
 
 def conditional_mi(

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, replace as dc_replace
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 
@@ -36,7 +35,7 @@ from .core import (
     Tag,
     TransitionModel,
 )
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 from .homeostat import DriveModel
 from .rng import BlockStream, stream
 
@@ -108,12 +107,11 @@ class HomeoGridEnv:
 
 def validate_env(env: HomeoGridEnv) -> None:
     g = env.grid
-    named = [("noise_std", g.noise_std), ("shade_delta", g.shade_delta)]
-    named += [(f"season {i} baseline", s.baseline) for i, s in enumerate(g.seasons)]
-    named += [(k, getattr(env, k)) for k in ("c_e", "c_h", "e_gain", "w_gain", "kappa", "leak")]
-    for name, value in named:
-        if not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value!r}")
+    require_finite(g, "noise_std", "shade_delta")
+    for i, season in enumerate(g.seasons):
+        if not math.isfinite(season.baseline):
+            raise ConfigError(f"season {i} baseline must be finite, got {season.baseline!r}")
+    require_finite(env, "c_e", "c_h", "e_gain", "w_gain", "kappa", "leak")
     if g.rows < 1 or g.cols < 1:
         raise ConfigError("grid must have positive dimensions")
     if not (0 <= g.start[0] < g.rows and 0 <= g.start[1] < g.cols):
@@ -270,15 +268,12 @@ def transition_maps(env: HomeoGridEnv) -> TransitionModel:
         external: ExternalState,
         action: Action,
     ) -> InternalState:
-        energy, hydration, temp = internal.values
+        # f_i's update plus the leak term, added last: the same operations in
+        # the same order as writing the leak into f_i's temperature sum.
+        energy, hydration, temp_next = f_i(internal, boundary, action).values
         raw = external.ambient_at(external.agent_pos)
-        return InternalState(
-            (
-                energy - c_e + boundary.flux_food,
-                hydration - c_h + boundary.flux_water,
-                temp + kappa * (boundary.sensed_ambient - temp) + lam * (raw - temp),
-            )
-        )
+        temp = internal.values[CORE_TEMP]
+        return InternalState((energy, hydration, temp_next + lam * (raw - temp)))
 
     # Bound once so a step neither hashes the grid nor looks a season up.
     seasons = range(len(grid.seasons))
@@ -337,16 +332,12 @@ class Status(Enum):
     Dead = "Dead"
 
 
-def terminal_check(env: HomeoGridEnv, flags: Iterable[bool]) -> Status:
-    """Dead iff the trailing run of out-of-zone steps exceeds the grace window."""
-    streak = 0
-    for ok in flags:
-        streak = 0 if ok else streak + 1
-    return Status.Dead if streak > env.drive_model.grace_steps else Status.Alive
-
-
 class SurvivalTracker:
-    """Incremental version of `terminal_check` for step loops."""
+    """The survival rule, fed one in-zone flag per step.
+
+    `update` returns Dead once the trailing run of out-of-zone steps exceeds
+    the grace window; `reset` starts the count again for a fresh body.
+    """
 
     __slots__ = ("grace", "streak")
 

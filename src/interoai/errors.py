@@ -1,8 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finite-value check."""
+
+import math
 
 
 class ConfigError(ValueError):
     """Invalid or internally inconsistent experiment configuration."""
+
+
+def require_finite(obj, *names: str) -> None:
+    """Raise ConfigError if any named field of `obj` is NaN or infinite."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ConfigError(f"{type(obj).__name__}.{name} must be finite, got {value!r}")
 
 
 class SchemaMismatch(ValueError):

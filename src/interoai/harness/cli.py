@@ -62,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    episode_log = run(config, args.seed, args.out)
+    episode_log = run(config, args.seed, args.out).log
     print(
         f"run seed={args.seed}: {len(episode_log.steps)} steps recorded, "
         f"terminal={episode_log.terminal}"

@@ -17,7 +17,7 @@ from typing import Any, Mapping
 from ..agents import AgentConfig, Discretizer, NeuromodConfig
 from ..core import Tag
 from ..envs import INTERNAL_DIM, GridSpec, HomeoGridEnv, SeasonSchedule, SeasonSpec
-from ..errors import ConfigError
+from ..errors import ConfigError, require_finite
 from ..homeostat import DriveModel
 
 
@@ -51,6 +51,7 @@ class BlanketSettings:
     discretizer: Discretizer
 
     def __post_init__(self) -> None:
+        require_finite(self, "lam", "epsilon", "tol_lo", "tol_hi")
         if self.steps < 1:
             raise ConfigError("blanket steps must be >= 1")
         if self.lam <= 0.0:
@@ -146,8 +147,8 @@ def _parse_env(section: Any, drive_section: Any, where: str) -> HomeoGridEnv:
         cols=_int(_get(env, "cols", where), f"{where}.cols"),
         start=tuple(_int(v, f"{where}.start") for v in _get(env, "start", where)),
         seasons=tuple(seasons),
-        noise_std=_float(env.get("noise_std", 0.0), f"{where}.noise_std"),
-        shade_delta=_float(env.get("shade_delta", 8.0), f"{where}.shade_delta"),
+        noise_std=_float(env.get("noise_std", GridSpec.noise_std), f"{where}.noise_std"),
+        shade_delta=_float(env.get("shade_delta", GridSpec.shade_delta), f"{where}.shade_delta"),
     )
     schedule = SeasonSchedule(
         period=_int(_get(env, "period", where), f"{where}.period"),
@@ -162,7 +163,7 @@ def _parse_env(section: Any, drive_section: Any, where: str) -> HomeoGridEnv:
         e_gain=_float(_get(env, "e_gain", where), f"{where}.e_gain"),
         w_gain=_float(_get(env, "w_gain", where), f"{where}.w_gain"),
         kappa=_float(_get(env, "kappa", where), f"{where}.kappa"),
-        leak=_float(env.get("leak", 0.0), f"{where}.leak"),
+        leak=_float(env.get("leak", HomeoGridEnv.leak), f"{where}.leak"),
     )
 
 

@@ -11,15 +11,29 @@ from __future__ import annotations
 import json
 import os
 import uuid
+from dataclasses import fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
 
-from .metrics import METRICS_HEADER, EpisodeLog, MetricsTable, StepRecord
+from .metrics import METRICS_FIELDS, METRICS_HEADER, EpisodeLog, MetricsTable, StepRecord
 
-LOG_HEADER = (
-    "t,episode,row,col,season,tag,energy,hydration,core_temp,action,reward,"
-    "drive,in_viability,tau,context_id"
-)
+# A log row is a `StepRecord`: its fields, in order, are the columns.
+LOG_FIELDS = tuple(f.name for f in fields(StepRecord))
+LOG_HEADER = ",".join(LOG_FIELDS)
+_log_values = attrgetter(*LOG_FIELDS)
+_metrics_values = attrgetter(*METRICS_FIELDS)
+
+# How `read_log_csv` turns a cell back into a field value, by annotated type.
+_PARSERS = {
+    "int": int,
+    "str": str,
+    "float": float,
+    "bool": lambda cell: cell == "1",
+    "Optional[int]": lambda cell: int(cell) if cell else None,
+    "Optional[float]": lambda cell: float(cell) if cell else None,
+}
+_LOG_PARSERS = tuple(_PARSERS[f.type] for f in fields(StepRecord))
 
 
 def format_value(value) -> str:
@@ -38,31 +52,13 @@ def _csv_line(values: Iterable) -> str:
 
 def log_csv_text(log: EpisodeLog) -> str:
     lines = [LOG_HEADER]
-    for r in log.steps:
-        lines.append(
-            _csv_line(
-                (
-                    r.t, r.episode, r.row, r.col, r.season, r.tag, r.energy, r.hydration,
-                    r.core_temp, r.action, r.reward, r.drive, r.in_viability, r.tau,
-                    r.context_id,
-                )
-            )
-        )
+    lines.extend(_csv_line(_log_values(r)) for r in log.steps)
     return "\n".join(lines) + "\n"
 
 
 def metrics_csv_text(table: MetricsTable) -> str:
     lines = [METRICS_HEADER]
-    for r in table.rows:
-        lines.append(
-            _csv_line(
-                (
-                    r.seed, r.survival_steps, r.viability_fraction, r.mean_drive,
-                    r.entropy_satiated, r.entropy_deficit, r.recovery_time, r.retention,
-                    r.visits_food, r.visits_water, r.visits_shade,
-                )
-            )
-        )
+    lines.extend(_csv_line(_metrics_values(r)) for r in table.rows)
     if table.rows:
         for summary_row in table.summary():
             lines.append(_csv_line(summary_row))
@@ -76,17 +72,8 @@ def read_log_csv(path: str | Path) -> EpisodeLog:
         raise ValueError(f"{path} is not a run log (unexpected header)")
     steps = []
     for line in lines[1:]:
-        f = line.split(",")
-        steps.append(
-            StepRecord(
-                t=int(f[0]), episode=int(f[1]), row=int(f[2]), col=int(f[3]),
-                season=int(f[4]), tag=f[5], energy=float(f[6]), hydration=float(f[7]),
-                core_temp=float(f[8]), action=f[9], reward=float(f[10]), drive=float(f[11]),
-                in_viability=f[12] == "1",
-                tau=float(f[13]) if f[13] else None,
-                context_id=int(f[14]) if f[14] else None,
-            )
-        )
+        cells = zip(_LOG_PARSERS, line.split(","), strict=True)
+        steps.append(StepRecord(*(parse(cell) for parse, cell in cells)))
     seed_token = Path(path).stem.rsplit("seed", 1)
     seed = int(seed_token[1]) if len(seed_token) == 2 and seed_token[1].isdigit() else -1
     return EpisodeLog(seed=seed, agent_kind="", steps=steps, terminal="")

@@ -21,7 +21,7 @@ Definitions used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from statistics import mean, median, pstdev
 from typing import Optional, Sequence
 
@@ -60,14 +60,6 @@ class EpisodeLog:
     terminal: str  # Alive or Dead at the end of the window
 
 
-METRICS_HEADER = (
-    "seed,survival_steps,viability_fraction,mean_drive,entropy_satiated,"
-    "entropy_deficit,recovery_time,retention,visits_food,visits_water,visits_shade"
-)
-
-METRIC_COLUMNS = METRICS_HEADER.split(",")[1:]
-
-
 @dataclass(frozen=True)
 class MetricsRow:
     seed: int
@@ -81,6 +73,12 @@ class MetricsRow:
     visits_food: int
     visits_water: int
     visits_shade: int
+
+
+# The metrics.csv columns are the fields of `MetricsRow`, in order.
+METRICS_FIELDS = tuple(f.name for f in fields(MetricsRow))
+METRICS_HEADER = ",".join(METRICS_FIELDS)
+METRIC_COLUMNS = METRICS_FIELDS[1:]  # the summary rows put their label under "seed"
 
 
 @dataclass

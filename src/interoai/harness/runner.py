@@ -16,7 +16,8 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 from math import log as ln
 from pathlib import Path
 from statistics import mean
@@ -187,23 +188,14 @@ def probe_entropies(
     return out
 
 
-def run(config: ExperimentConfig, seed: int, out_dir: str | None = None) -> EpisodeLog:
-    """Execute one run and write its per-step log as CSV."""
+def run(config: ExperimentConfig, seed: int, out_dir: str | None = None) -> RunResult:
+    """Execute one run, write its per-step log as CSV, and return the result."""
     result = execute_run(config, seed)
     directory = Path(out_dir if out_dir is not None else config.run.out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     export(result.log, directory / f"log_seed{seed}.csv")
     log.info("run seed=%d finished: %d steps, terminal=%s", seed, len(result.log.steps), result.log.terminal)
-    return result.log
-
-
-def _sweep_worker(payload: tuple[ExperimentConfig, int, str]) -> MetricsRow:
-    config, seed, out_dir = payload
-    result = execute_run(config, seed)
-    directory = Path(out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    export(result.log, directory / f"log_seed{seed}.csv")
-    return result.metrics
+    return result
 
 
 def sweep(config: ExperimentConfig, out_dir: str | None = None, jobs: int = 1) -> MetricsTable:
@@ -213,13 +205,13 @@ def sweep(config: ExperimentConfig, out_dir: str | None = None, jobs: int = 1) -
     directory = Path(out_dir if out_dir is not None else config.run.out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     seeds = sorted(config.run.seeds)
-    payloads = [(config, seed, str(directory)) for seed in seeds]
+    run_seed = partial(run, config, out_dir=str(directory))
     jobs = min(jobs, len(seeds))  # a worker beyond one per seed would sit idle
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_worker, payloads))
+            rows = [result.metrics for result in pool.map(run_seed, seeds)]
     else:
-        rows = [_sweep_worker(p) for p in payloads]
+        rows = [result.metrics for result in map(run_seed, seeds)]
     table = MetricsTable(rows=rows)
     export(table, directory / "metrics.csv")
     return table
@@ -240,25 +232,12 @@ class BlanketReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        def cmi_dict(rep: CmiReport) -> dict:
-            return {
-                "cmi_nats": rep.cmi_nats,
-                "sample_count": rep.sample_count,
-                "alphabet_sizes": list(rep.alphabet_sizes),
-                "verdict": rep.verdict.value,
-            }
-
-        return {
-            "factored": cmi_dict(self.factored),
-            "coupled": cmi_dict(self.coupled),
-            "factored_jacobian_max": list(self.factored_jacobian_max),
-            "coupled_jacobian_max": list(self.coupled_jacobian_max),
-            "gap_ratio": self.gap_ratio,
-            "lambda": self.lam,
-            "tol_lo": self.tol_lo,
-            "tol_hi": self.tol_hi,
-            "passed": self.passed,
-        }
+        """The fields as plain JSON values; `lam` is written as "lambda"."""
+        d = asdict(self)
+        d["lambda"] = d.pop("lam")
+        for rep in (d["factored"], d["coupled"]):
+            rep["verdict"] = rep["verdict"].value
+        return d
 
 
 def _jacobian_maxima(env: HomeoGridEnv, epsilon: float) -> tuple[float, float]:

@@ -59,13 +59,6 @@ class DriveModel:
         return len(self.set_point)
 
 
-@dataclass(frozen=True)
-class RewardSignal:
-    """A single scalar reward."""
-
-    value: float
-
-
 def _check_dim(dm: DriveModel, h: InternalState) -> None:
     if len(h.values) != len(dm.set_point):
         raise DimensionMismatch(f"internal dim {len(h)} != drive model dim {dm.dim}")
@@ -80,9 +73,9 @@ def drive(dm: DriveModel, h: InternalState) -> float:
     return total ** (1.0 / dm.m)
 
 
-def homeostatic_reward(dm: DriveModel, h_t: InternalState, h_next: InternalState) -> RewardSignal:
+def homeostatic_reward(dm: DriveModel, h_t: InternalState, h_next: InternalState) -> float:
     """Reward of the step h_t -> h_next: positive iff drive decreased."""
-    return RewardSignal(drive(dm, h_t) - drive(dm, h_next))
+    return drive(dm, h_t) - drive(dm, h_next)
 
 
 def in_viability(dm: DriveModel, h: InternalState) -> bool:

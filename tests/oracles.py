@@ -41,6 +41,15 @@ def brute_force_cmi(joint: dict[tuple, float]) -> float:
     return acc
 
 
+def entropy_from_counts(counts: dict[tuple, float], component: int) -> float:
+    """Marginal entropy (nats) of one key component of a counts table."""
+    total = sum(counts.values())
+    marg: dict = {}
+    for key, c in counts.items():
+        marg[key[component]] = marg.get(key[component], 0.0) + c
+    return -sum((c / total) * math.log(c / total) for c in marg.values() if c > 0.0)
+
+
 def two_cell_joint(leak_mix: float, flip_prob: float = 0.2) -> dict[tuple, float]:
     """Exact joint p(i_next, e, (i, b, a)) of a 2-cell, 2-temperature toy system.
 

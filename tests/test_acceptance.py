@@ -163,7 +163,7 @@ def test_accept_01_telescoping():
         for _ in range(1000):
             action = ACTIONS[int(rng_policy.integers(0, len(ACTIONS)))]
             nxt = step_factored(model, state, action, rng_env)
-            total += homeostatic_reward(dm, state.internal, nxt.internal).value
+            total += homeostatic_reward(dm, state.internal, nxt.internal)
             state = nxt
         err = abs(total - (d0 - drive(dm, state.internal)))
         worst = max(worst, err)
@@ -316,7 +316,7 @@ def test_accept_05_chain_oracle():
     def reward(s: int, a_idx: int) -> float:
         h = InternalState((float(s),))
         h2 = InternalState((float(next_state(s, a_idx)),))
-        return homeostatic_reward(dm, h, h2).value
+        return homeostatic_reward(dm, h, h2)
 
     optimal = value_iteration(n_states, 2, next_state, reward, gamma=0.9)
 

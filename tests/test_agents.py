@@ -12,13 +12,13 @@ from interoai.agents import (
     Discretizer,
     NeuromodConfig,
     QTable,
-    discretize,
     make_agent,
     modulate,
     q_select,
     q_update,
     softmax_probs,
 )
+from interoai.blanket import BlanketSymbolizer
 from interoai.core import ACTIONS, Action, InternalState
 from interoai.envs import reset
 from interoai.errors import ConfigError, NonFiniteValue
@@ -33,11 +33,11 @@ DISC = Discretizer(internal_edges=((0.3, 0.5), (0.3, 0.5), (36.0, 38.5, 40.0)))
 def test_discretize_deterministic_and_binned():
     env = make_tiny_env()
     state = reset(env, 0)
-    assert discretize(DISC, state) == discretize(DISC, state)
+    assert DISC.key(state) == DISC.key(state)
     shifted = dataclasses.replace(state, internal=InternalState((0.55, 0.59, 37.2)))
-    assert discretize(DISC, shifted) == discretize(DISC, state)  # same bins
+    assert DISC.key(shifted) == DISC.key(state)  # same bins
     low = dataclasses.replace(state, internal=InternalState((0.1, 0.6, 37.0)))
-    assert discretize(DISC, low) != discretize(DISC, state)
+    assert DISC.key(low) != DISC.key(state)
 
 
 def test_bin_edge_maps_to_upper_bin():
@@ -56,6 +56,25 @@ def test_every_real_maps_to_exactly_one_bin(v):
 def test_discretizer_rejects_unsorted_edges():
     with pytest.raises(ConfigError):
         Discretizer(internal_edges=((0.5, 0.3),))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_discretizer_rejects_non_finite_edges(bad):
+    with pytest.raises(ConfigError, match="finite"):
+        Discretizer(internal_edges=((bad, 1.0),))
+    with pytest.raises(ConfigError, match="finite"):
+        Discretizer(internal_edges=((0.0, 1.0), (0.0, bad)))
+
+
+def test_ambient_bin_is_the_key_and_blanket_ambient_feature():
+    state = reset(make_tiny_env(), 0)
+    b = state.boundary
+    for sensed in (30.0, 36.0, 38.0, 38.5, 45.0):
+        probe = dataclasses.replace(state, boundary=dataclasses.replace(b, sensed_ambient=sensed))
+        expected = DISC.ambient_bin(sensed)
+        assert expected == DISC.internal_bins((0.0, 0.0, sensed))[-1]
+        assert DISC.key(probe)[5] == expected  # after row, col, tag and the two flux bits
+        assert BlanketSymbolizer(DISC).boundary_symbol(probe.boundary)[0] == expected
 
 
 def test_softmax_symmetric_and_argmax_limit():
@@ -293,6 +312,20 @@ def test_random_agent_uniform_and_learn_free():
         assert abs(counts[a] - n * p) < 4.0 * sigma
     agent.learn(state, Action.Rest, state)  # no-op, no tables
     assert not hasattr(agent, "tables")
+
+
+@pytest.mark.parametrize("field", ["tau_min", "tau_max", "beta_tau", "beta_g"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_neuromod_config_rejects_non_finite_values(field, bad):
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        NeuromodConfig(**{field: bad})
+
+
+@pytest.mark.parametrize("field", ["alpha", "gamma", "tau"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_agent_config_rejects_non_finite_values(field, bad):
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        AgentConfig(**{field: bad})
 
 
 def test_agent_config_validation():

@@ -11,7 +11,6 @@ from interoai.blanket import (
     cmi_from_counts,
     collect_transitions,
     conditional_mi,
-    entropy_from_counts,
     jacobian_sparsity,
     uniform_random_policy,
 )
@@ -30,7 +29,7 @@ from interoai.errors import ConfigError, EmptyDataset
 from interoai.homeostat import DriveModel
 
 from helpers import make_tiny_env
-from oracles import brute_force_cmi, two_cell_joint
+from oracles import brute_force_cmi, entropy_from_counts, two_cell_joint
 
 
 def ci_env(**overrides) -> HomeoGridEnv:

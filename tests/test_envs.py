@@ -5,16 +5,16 @@ import math
 
 import pytest
 
-from interoai.core import Action, InternalState, Tag, step_factored
+from interoai.core import Action, BoundaryState, InternalState, Tag, step_factored
 from interoai.envs import (
     SeasonSchedule,
     Status,
+    SurvivalTracker,
     advance_season,
     make_coupled_variant,
     reset,
     respawn,
     season_snapshot,
-    terminal_check,
     transition_maps,
 )
 from interoai.errors import ConfigError
@@ -122,10 +122,18 @@ def test_energy_conserved_without_decay_or_consumption():
 
 def test_terminal_check_rules():
     env = make_tiny_env()  # grace_steps = 5
-    assert terminal_check(env, [True] * 50) is Status.Alive
-    assert terminal_check(env, [True] * 10 + [False] * 6) is Status.Dead
-    assert terminal_check(env, [False] * 5 + [True]) is Status.Alive
-    assert terminal_check(env, [False] * 5) is Status.Alive  # exactly grace, not beyond
+
+    def status_after(flags):
+        tracker = SurvivalTracker(env.drive_model.grace_steps)
+        status = Status.Alive
+        for ok in flags:
+            status = tracker.update(ok)
+        return status
+
+    assert status_after([True] * 50) is Status.Alive
+    assert status_after([True] * 10 + [False] * 6) is Status.Dead
+    assert status_after([False] * 5 + [True]) is Status.Alive
+    assert status_after([False] * 5) is Status.Alive  # exactly grace, not beyond
 
 
 def test_respawn_keeps_world_clock():
@@ -158,6 +166,27 @@ def test_coupled_variant_leak_example():
     )
     nxt = step_factored(model, probe, Action.Rest, stream(0, 0, "env"))
     assert nxt.internal.values[2] == pytest.approx(32.0, abs=1e-12)
+
+
+def test_leak_map_equals_the_single_expression_bitwise():
+    # The leak map reuses f_i and adds the leak term last; each value must be
+    # the very double of the update written as one expression.
+    env = make_tiny_env()
+    lam = 0.2
+    model = transition_maps(make_coupled_variant(env, lam))
+    rng = stream(3, 0, "leak")
+    external = reset(env, 0).external
+    for _ in range(200):
+        e, h, temp, sensed, ff, fw = rng.uniform(-50.0, 50.0, size=6).tolist()
+        boundary = BoundaryState(sensed_ambient=sensed, flux_food=ff, flux_water=fw)
+        raw = external.ambient_at(external.agent_pos)
+        expected = (
+            e - env.c_e + ff,
+            h - env.c_h + fw,
+            temp + env.kappa * (sensed - temp) + lam * (raw - temp),
+        )
+        got = model.internal_leak(InternalState((e, h, temp)), boundary, external, Action.Rest)
+        assert got.values == expected
 
 
 def test_coupled_variant_zero_lambda_rejected():

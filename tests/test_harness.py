@@ -1,11 +1,14 @@
 """Config validation, run/sweep determinism, metrics, export, CLI."""
 
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from interoai.blanket import CmiVerdict
+from interoai.envs import GridSpec, HomeoGridEnv
 from interoai.errors import ConfigError
 from interoai.harness.cli import main
 from interoai.harness.config import default_config, load_config, parse_config
@@ -41,6 +44,29 @@ from conftest import quick_config_doc
 
 def test_default_config_parses():
     parse_config(default_config())
+
+
+def test_shipped_config_file_is_the_default_config():
+    path = Path(__file__).resolve().parents[1] / "configs" / "homeogrid_s.json"
+    assert path.read_text(encoding="utf-8") == json.dumps(default_config(), indent=2) + "\n"
+
+
+def test_omitted_env_keys_take_the_dataclass_defaults(quick_doc):
+    for env in (quick_doc["env"], quick_doc["blanket"]["env"]):
+        for key in ("noise_std", "shade_delta", "leak"):
+            env.pop(key, None)
+    cfg = parse_config(quick_doc)
+    for env in (cfg.env, cfg.blanket.env):
+        assert env.grid.noise_std == GridSpec.noise_std
+        assert env.grid.shade_delta == GridSpec.shade_delta
+        assert env.leak == HomeoGridEnv.leak
+
+
+@pytest.mark.parametrize("field", ["lam", "epsilon", "tol_lo", "tol_hi"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_blanket_settings_reject_non_finite_values(quick_cfg, field, bad):
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        dataclasses.replace(quick_cfg.blanket, **{field: bad})
 
 
 def test_unknown_top_level_key_rejected(quick_doc):
@@ -233,7 +259,7 @@ def test_load_config_bad_json(tmp_path):
 
 
 def test_run_log_length_matches_eval_steps(quick_cfg, tmp_path):
-    log = run(quick_cfg, 0, str(tmp_path))
+    log = run(quick_cfg, 0, str(tmp_path)).log
     assert len(log.steps) == quick_cfg.run.eval_steps
     assert (tmp_path / "log_seed0.csv").exists()
 
@@ -249,10 +275,11 @@ def test_run_byte_identical_across_repeats(quick_cfg, tmp_path):
 def test_random_agent_log_has_no_q_fields(tmp_path):
     doc = quick_config_doc()
     doc["agent"]["kind"] = "Random"
-    log = run(parse_config(doc), 0, str(tmp_path))
+    log = run(parse_config(doc), 0, str(tmp_path)).log
     assert all(r.tau is None and r.context_id is None for r in log.steps)
     text = (tmp_path / "log_seed0.csv").read_text(encoding="utf-8")
     assert text.splitlines()[1].endswith(",,")  # empty tau and context columns
+    assert read_log_csv(tmp_path / "log_seed0.csv").steps == log.steps
 
 
 def test_learning_agent_log_carries_signals(quick_cfg):
@@ -457,9 +484,14 @@ def test_log_roundtrip(quick_cfg, tmp_path):
     assert len(loaded.steps) == len(result.log.steps)
     assert loaded.steps[0] == result.log.steps[0]
     assert loaded.steps[-1] == result.log.steps[-1]
+    assert loaded.steps == result.log.steps
 
 
 def test_log_csv_header_stable(quick_cfg):
+    assert LOG_HEADER == (
+        "t,episode,row,col,season,tag,energy,hydration,core_temp,action,reward,"
+        "drive,in_viability,tau,context_id"
+    )
     text = log_csv_text(execute_run(quick_cfg, 0).log)
     assert text.splitlines()[0] == LOG_HEADER
 

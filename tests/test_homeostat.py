@@ -46,8 +46,9 @@ def test_reward_is_drive_reduction():
     h0 = InternalState((3.0, 4.0))
     h1 = InternalState((0.0, 3.0))
     r = homeostatic_reward(DM2, h0, h1)
-    assert r.value == pytest.approx(5.0 - 3.0, abs=1e-12)
-    assert homeostatic_reward(DM2, h0, h0).value == 0.0
+    assert type(r) is float
+    assert r == pytest.approx(5.0 - 3.0, abs=1e-12)
+    assert homeostatic_reward(DM2, h0, h0) == 0.0
 
 
 @given(
@@ -59,7 +60,7 @@ def test_reward_is_drive_reduction():
 )
 def test_reward_telescopes_over_any_trajectory(points):
     states = [InternalState(p) for p in points]
-    total = sum(homeostatic_reward(DM2, a, b).value for a, b in zip(states, states[1:]))
+    total = sum(homeostatic_reward(DM2, a, b) for a, b in zip(states, states[1:]))
     expected = drive(DM2, states[0]) - drive(DM2, states[-1])
     assert abs(total - expected) < 1e-9
 
@@ -76,7 +77,7 @@ def test_telescoping_on_simulated_trajectory():
     for _ in range(500):
         action = ACTIONS[int(rng_act.integers(0, len(ACTIONS)))]
         nxt = step_factored(model, state, action, rng_env)
-        total += homeostatic_reward(dm, state.internal, nxt.internal).value
+        total += homeostatic_reward(dm, state.internal, nxt.internal)
         state = nxt
     assert abs(total - (drive(dm, h0) - drive(dm, state.internal))) < 1e-9
 
@@ -96,7 +97,7 @@ def test_reward_positive_when_all_components_approach():
     dm = DriveModel(set_point=(0.0, 0.0), weights=(1.0, 2.0))
     h0 = InternalState((4.0, -3.0))
     h1 = InternalState((2.0, -1.0))
-    assert homeostatic_reward(dm, h0, h1).value > 0.0
+    assert homeostatic_reward(dm, h0, h1) > 0.0
 
 
 def test_viability_closed_intervals():

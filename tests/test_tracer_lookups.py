@@ -1,0 +1,41 @@
+"""The benchmark's span tracer still finds every callable it wraps.
+
+`bench/bench_trace.py` patches layer callables by name in the modules that
+call them.  A refactor that renames one, or routes the step loop around the
+name the tracer patches, would otherwise break only traced benchmark runs.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from interoai import core
+from interoai.harness import runner
+
+BENCH_TRACE = Path(__file__).resolve().parents[1] / "bench" / "bench_trace.py"
+
+
+def _load_bench_trace():
+    spec = importlib.util.spec_from_file_location("bench_trace_under_test", BENCH_TRACE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_sees_every_step_of_a_run_and_a_verification(quick_cfg):
+    bench_trace = _load_bench_trace()
+    rec = bench_trace.SpanRecorder()
+    uninstall = bench_trace.install(rec)
+    try:
+        runner.execute_run(quick_cfg, 0)
+        runner.verify_blanket(quick_cfg)
+    finally:
+        uninstall()
+    steps = quick_cfg.run.train_steps + quick_cfg.run.eval_steps + 2 * quick_cfg.blanket.steps
+    calls = {name: 0 for name in rec.names}
+    for name_id in rec.name_id:
+        calls[rec.names[name_id]] += 1
+    assert calls["core.step_factored"] == steps
+    assert calls["envs.SurvivalTracker.update"] == steps
+    assert calls["harness.runner.execute_run"] == 1
+    assert calls["harness.runner.verify_blanket"] == 1
+    assert runner.step_factored is core.step_factored  # uninstalled again
