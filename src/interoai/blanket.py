@@ -26,8 +26,11 @@ and exactly checkable.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
+from operator import mul
 from typing import Callable, Mapping
 
 import numpy as np
@@ -40,12 +43,13 @@ from .core import (
     ExternalState,
     FactoredState,
     InternalState,
+    Tag,
     TransitionModel,
     internal_update,
     step_factored,
 )
-from .envs import HomeoGridEnv, Status, SurvivalTracker, respawn, reset, transition_maps
-from .errors import ConfigError, EmptyDataset, NonFiniteValue
+from .envs import GridSpec, HomeoGridEnv, Status, SurvivalTracker, respawn, reset, transition_maps
+from .errors import ConfigError, EmptyDataset, NegativeWeight, NonFiniteValue
 from .homeostat import in_viability
 from .rng import BlockStream, stream
 
@@ -56,47 +60,88 @@ def uniform_random_policy(state: FactoredState, rng: np.random.Generator | Block
     return ACTIONS[int(rng.integers(0, len(ACTIONS)))]
 
 
-@dataclass(frozen=True)
 class BlanketSymbolizer:
-    """Discretizes (i, b, e) components to the alphabets the CI test uses.
+    """Exact integer codes for the (i, b, e, a) components the CI test uses.
 
-    Internal values reuse the discretizer's bin edges; the sensed ambient
-    temperature takes the discretizer's `ambient_bin` (core-temperature
-    edges, same units), as in the agents' observation key; the
-    ingestion flux takes one of two exact levels per channel, so zero versus
-    non-zero captures it losslessly.
+    Every code is a mixed-radix integer whose digits are symbols, each
+    below its radix, so two states get one code exactly when their symbols
+    agree:
+
+    * internal: one digit per dimension, the `bisect_right` bin over the
+      discretizer's edges for it (radix `len(edges) + 1`);
+    * boundary: the discretizer's `ambient_bin` of the sensed ambient
+      temperature (core-temperature edges, same units, as in the agents'
+      observation key), then one bit per ingestion flux channel; a flux
+      takes one of two exact levels, so zero versus non-zero captures it
+      losslessly;
+    * external: row, column, the tag under the agent (radix `len(Tag)`)
+      and the season index;
+    * conditioner z = (i, b, a): the internal code, the boundary code, then
+      the action.
+
+    Raises ConfigError if a code space does not fit in int64.
     """
 
-    discretizer: Discretizer
+    __slots__ = ("_edges", "_places", "_ambient_bin", "_cols", "_seasons", "_boundary_size")
 
-    def internal_symbol(self, internal: InternalState) -> tuple[int, ...]:
-        return self.discretizer.internal_bins(internal.values)
+    def __init__(self, discretizer: Discretizer, grid: GridSpec):
+        edges = discretizer.internal_edges
+        radices = [len(e) + 1 for e in edges]
+        self._edges = edges
+        self._places = tuple(math.prod(radices[k + 1 :]) for k in range(len(radices)))
+        self._ambient_bin = discretizer.ambient_bin
+        self._cols = grid.cols
+        self._seasons = len(grid.seasons)
+        self._boundary_size = (len(edges[-1]) + 1) * 2 * 2
+        internal_size = math.prod(radices)
+        external_size = grid.rows * grid.cols * len(Tag) * self._seasons
+        conditioner_size = internal_size * self._boundary_size * len(ACTIONS)
+        size = max(external_size, conditioner_size)
+        if size > 2**63:
+            raise ConfigError(f"blanket symbols need {size} codes, more than int64 holds")
 
-    def boundary_symbol(self, boundary: BoundaryState) -> tuple[int, int, int]:
-        return (
-            self.discretizer.ambient_bin(boundary.sensed_ambient),
-            0 if boundary.flux_food == 0.0 else 1,
-            0 if boundary.flux_water == 0.0 else 1,
-        )
+    def internal_code(self, internal: InternalState) -> int:
+        return sum(map(mul, self._places, map(bisect_right, self._edges, internal.values)))
 
-    def external_symbol(self, external: ExternalState) -> tuple[int, int, int, int]:
-        pos = external.agent_pos
-        return (pos[0], pos[1], int(external.tag_at(pos)), external.season)
+    def boundary_code(self, boundary: BoundaryState) -> int:
+        ambient = self._ambient_bin(boundary.sensed_ambient)
+        food = 0 if boundary.flux_food == 0.0 else 1
+        water = 0 if boundary.flux_water == 0.0 else 1
+        return (ambient * 2 + food) * 2 + water
+
+    def external_code(self, external: ExternalState) -> int:
+        r, c = external.agent_pos
+        tag = external.resource_map[r][c]
+        return ((r * self._cols + c) * len(Tag) + tag) * self._seasons + external.season
+
+    def conditioner_code(self, internal_code: int, boundary_code: int, action: Action) -> int:
+        return (internal_code * self._boundary_size + boundary_code) * len(ACTIONS) + int(action)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TransitionDataset:
-    """Symbolized transitions plus the joint counts table.
+    """Integer-coded transitions plus the joint counts table.
 
-    Counts are keyed (i_next, e, z) with z = (i, b, a); weights sum to the
-    number of transitions.
+    Transition t has x[t], the code of i_{t+1}; y[t], the code of e_t; and
+    z[t], the code of the conditioner (i_t, b_t, a_t), each from
+    `BlanketSymbolizer`, in read-only int64 arrays.  `counts` maps each
+    distinct (x, y, z) to its number of transitions, in the order the keys
+    were first seen; weights sum to the number of transitions.
     """
 
-    transitions: list[tuple]
-    counts: dict[tuple, float]
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    counts: dict[tuple[int, int, int], float]
 
     def __len__(self) -> int:
-        return len(self.transitions)
+        return len(self.x)
+
+
+def _frozen_codes(codes: array) -> np.ndarray:
+    out = np.frombuffer(codes, dtype=np.int64)
+    out.setflags(write=False)
+    return out
 
 
 def collect_transitions(
@@ -113,39 +158,44 @@ def collect_transitions(
     """
     if steps < 1:
         raise ConfigError("steps must be >= 1")
+    dims = len(env.drive_model.set_point)
+    if len(discretizer.internal_edges) != dims:
+        raise ConfigError(f"{dims} internal values vs {len(discretizer.internal_edges)} edge sets")
+    sym = BlanketSymbolizer(discretizer, env.grid)
     model = transition_maps(env)
-    sym = BlanketSymbolizer(discretizer)
-    internal_symbol = sym.internal_symbol
-    boundary_symbol = sym.boundary_symbol
-    external_symbol = sym.external_symbol
+    internal_code = sym.internal_code
+    boundary_code = sym.boundary_code
+    external_code = sym.external_code
+    conditioner_code = sym.conditioner_code
     rng_env = BlockStream(seed, 0, "blanket-env")
     rng_policy = BlockStream(seed, 0, "blanket-policy")
     state = reset(env, seed)
     tracker = SurvivalTracker(env.drive_model.grace_steps)
     dm = env.drive_model
 
-    transitions: list[tuple] = []
-    counts: dict[tuple, float] = {}
-    # The symbol of i_{t+1} is the next record's i_t, unless a respawn
+    xs, ys, zs = array("q"), array("q"), array("q")
+    counts: dict[tuple[int, int, int], float] = {}
+    # The code of i_{t+1} is the next record's i_t, unless a respawn
     # replaces the body in between.
-    i_sym = internal_symbol(state.internal)
+    i_code = internal_code(state.internal)
     for _ in range(steps):
         action = policy(state, rng_policy)
         nxt = step_factored(model, state, action, rng_env)
-        i_next = internal_symbol(nxt.internal)
-        b_sym = boundary_symbol(state.boundary)
-        e_sym = external_symbol(state.external)
-        a = int(action)
-        transitions.append((i_sym, b_sym, e_sym, a, i_next))
-        key = (i_next, e_sym, (i_sym, b_sym, a))
+        x = internal_code(nxt.internal)
+        y = external_code(state.external)
+        z = conditioner_code(i_code, boundary_code(state.boundary), action)
+        xs.append(x)
+        ys.append(y)
+        zs.append(z)
+        key = (x, y, z)
         counts[key] = counts.get(key, 0.0) + 1.0
         if tracker.update(in_viability(dm, nxt.internal)) is Status.Dead:
             nxt = respawn(env, nxt)
             tracker.reset()
-            i_next = internal_symbol(nxt.internal)
+            x = internal_code(nxt.internal)
         state = nxt
-        i_sym = i_next
-    return TransitionDataset(transitions=transitions, counts=counts)
+        i_code = x
+    return TransitionDataset(_frozen_codes(xs), _frozen_codes(ys), _frozen_codes(zs), counts)
 
 
 class CmiVerdict(Enum):
@@ -166,9 +216,15 @@ def cmi_from_counts(counts: Mapping[tuple, float]) -> float:
     """Plug-in I(X; Y | Z) in nats from weights keyed (x, y, z).
 
     Accepts arbitrary non-negative weights, so the exact joint distribution
-    of an enumerated toy system can be fed in directly.
+    of an enumerated toy system can be fed in directly; a NaN or infinite
+    weight raises NonFiniteValue and a negative one NegativeWeight.
     """
-    total = sum(counts.values())
+    weights = counts.values()
+    if not all(map(math.isfinite, weights)):
+        raise NonFiniteValue("counts table holds a non-finite weight")
+    if any(c < 0.0 for c in weights):
+        raise NegativeWeight("counts table holds a negative weight")
+    total = sum(weights)
     if total <= 0.0:
         raise EmptyDataset("counts table is empty")
     n_xz: dict[tuple, float] = {}

@@ -27,6 +27,10 @@ class EmptyDataset(ValueError):
     """An estimator was asked to run on zero transitions."""
 
 
+class NegativeWeight(ValueError):
+    """An estimator was given a negative count or probability weight."""
+
+
 class NonFiniteValue(ArithmeticError):
     """A computation produced NaN or infinity where a finite value is required."""
 

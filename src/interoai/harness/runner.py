@@ -198,6 +198,15 @@ def run(config: ExperimentConfig, seed: int, out_dir: str | None = None) -> RunR
     return result
 
 
+def _run_metrics(config: ExperimentConfig, out_dir: str, seed: int) -> MetricsRow:
+    """`run` one seed and keep only its metrics row, the part a sweep needs.
+
+    A top-level function, so a worker process can be handed it and send the
+    small row back instead of the whole `RunResult`.
+    """
+    return run(config, seed, out_dir=out_dir).metrics
+
+
 def sweep(config: ExperimentConfig, out_dir: str | None = None, jobs: int = 1) -> MetricsTable:
     """One run per seed; logs and a metrics table written to the output directory."""
     if jobs < 1:
@@ -205,13 +214,13 @@ def sweep(config: ExperimentConfig, out_dir: str | None = None, jobs: int = 1) -
     directory = Path(out_dir if out_dir is not None else config.run.out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     seeds = sorted(config.run.seeds)
-    run_seed = partial(run, config, out_dir=str(directory))
+    run_seed = partial(_run_metrics, config, str(directory))
     jobs = min(jobs, len(seeds))  # a worker beyond one per seed would sit idle
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = [result.metrics for result in pool.map(run_seed, seeds)]
+            rows = list(pool.map(run_seed, seeds))
     else:
-        rows = [result.metrics for result in map(run_seed, seeds)]
+        rows = list(map(run_seed, seeds))
     table = MetricsTable(rows=rows)
     export(table, directory / "metrics.csv")
     return table

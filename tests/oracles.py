@@ -50,6 +50,49 @@ def entropy_from_counts(counts: dict[tuple, float], component: int) -> float:
     return -sum((c / total) * math.log(c / total) for c in marg.values() if c > 0.0)
 
 
+def mixed_radix_code(digits: tuple[int, ...], radices: tuple[int, ...]) -> int:
+    """The integer whose digits, most significant first, are `digits` in base `radices`."""
+    if len(digits) != len(radices):
+        raise ValueError(f"{len(digits)} digits vs {len(radices)} radices")
+    code = 0
+    for digit, radix in zip(digits, radices):
+        if not 0 <= digit < radix:
+            raise ValueError(f"digit {digit} outside radix {radix}")
+        code = code * radix + digit
+    return code
+
+
+class BlanketTupleEncoder:
+    """Codes of the verifier's symbol tuples, digit by digit.
+
+    Internal symbols are per-dimension bins (radix: edges + 1); boundary
+    symbols are (ambient bin, food bit, water bit); external symbols are
+    (row, col, tag, season); the conditioner (i, b, a) is the digits of the
+    internal symbol, then the boundary symbol, then the action.
+    """
+
+    def __init__(self, internal_edges, rows: int, cols: int, n_tags: int, n_seasons: int, n_actions: int):
+        self.internal_radices = tuple(len(edges) + 1 for edges in internal_edges)
+        self.boundary_radices = (len(internal_edges[-1]) + 1, 2, 2)
+        self.external_radices = (rows, cols, n_tags, n_seasons)
+        self.n_actions = n_actions
+
+    def internal(self, bins: tuple[int, ...]) -> int:
+        return mixed_radix_code(bins, self.internal_radices)
+
+    def boundary(self, symbol: tuple[int, int, int]) -> int:
+        return mixed_radix_code(symbol, self.boundary_radices)
+
+    def external(self, symbol: tuple[int, int, int, int]) -> int:
+        return mixed_radix_code(symbol, self.external_radices)
+
+    def conditioner(self, bins: tuple[int, ...], boundary: tuple[int, int, int], action: int) -> int:
+        return mixed_radix_code(
+            bins + boundary + (action,),
+            self.internal_radices + self.boundary_radices + (self.n_actions,),
+        )
+
+
 def two_cell_joint(leak_mix: float, flip_prob: float = 0.2) -> dict[tuple, float]:
     """Exact joint p(i_next, e, (i, b, a)) of a 2-cell, 2-temperature toy system.
 

@@ -67,14 +67,16 @@ def test_discretizer_rejects_non_finite_edges(bad):
 
 
 def test_ambient_bin_is_the_key_and_blanket_ambient_feature():
-    state = reset(make_tiny_env(), 0)
+    env = make_tiny_env()
+    state = reset(env, 0)
     b = state.boundary
     for sensed in (30.0, 36.0, 38.0, 38.5, 45.0):
         probe = dataclasses.replace(state, boundary=dataclasses.replace(b, sensed_ambient=sensed))
         expected = DISC.ambient_bin(sensed)
         assert expected == DISC.internal_bins((0.0, 0.0, sensed))[-1]
         assert DISC.key(probe)[5] == expected  # after row, col, tag and the two flux bits
-        assert BlanketSymbolizer(DISC).boundary_symbol(probe.boundary)[0] == expected
+        # The ambient bin is the boundary code's leading digit, above the two flux bits.
+        assert BlanketSymbolizer(DISC, env.grid).boundary_code(probe.boundary) // 4 == expected
 
 
 def test_softmax_symmetric_and_argmax_limit():

@@ -2,19 +2,26 @@
 
 import math
 import statistics
+import tracemalloc
+from bisect import bisect_right
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interoai.agents import Discretizer
 from interoai.blanket import (
+    BlanketSymbolizer,
     CmiVerdict,
+    TransitionDataset,
     cmi_from_counts,
     collect_transitions,
     conditional_mi,
     jacobian_sparsity,
     uniform_random_policy,
 )
-from interoai.core import Action, Tag
+from interoai.core import ACTIONS, Action, BoundaryState, ExternalState, FactoredState, InternalState, Tag
 from interoai.envs import (
     CORE_TEMP,
     GridSpec,
@@ -25,11 +32,12 @@ from interoai.envs import (
     reset,
     transition_maps,
 )
-from interoai.errors import ConfigError, EmptyDataset
+from interoai.errors import ConfigError, EmptyDataset, NegativeWeight, NonFiniteValue
+from interoai.harness.config import default_config, parse_config
 from interoai.homeostat import DriveModel
 
 from helpers import make_tiny_env
-from oracles import brute_force_cmi, entropy_from_counts, two_cell_joint
+from oracles import BlanketTupleEncoder, brute_force_cmi, entropy_from_counts, two_cell_joint
 
 
 def ci_env(**overrides) -> HomeoGridEnv:
@@ -119,6 +127,22 @@ def test_empty_counts_rejected():
         cmi_from_counts({})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_weight_rejected(bad):
+    counts = {(0, 0, 0): 1.0, (1, 1, 0): bad}
+    with pytest.raises(NonFiniteValue):
+        cmi_from_counts(counts)
+    # NaN compares false with both thresholds, so it must not reach the verdict.
+    codes = np.zeros(1, dtype=np.int64)
+    with pytest.raises(NonFiniteValue):
+        conditional_mi(TransitionDataset(codes, codes, codes, counts))
+
+
+def test_negative_weight_rejected():
+    with pytest.raises(NegativeWeight):
+        cmi_from_counts({(0, 0, 0): 1.0, (1, 1, 0): -1.0})
+
+
 # ---------------------------------------------------------------------------
 # Collection
 # ---------------------------------------------------------------------------
@@ -134,7 +158,9 @@ def test_collect_deterministic_and_counted():
     disc = ci_discretizer()
     a = collect_transitions(env, uniform_random_policy, 500, 7, disc)
     b = collect_transitions(env, uniform_random_policy, 500, 7, disc)
-    assert a.transitions == b.transitions
+    assert np.array_equal(a.x, b.x)
+    assert np.array_equal(a.y, b.y)
+    assert np.array_equal(a.z, b.z)
     assert len(a) == 500
     assert sum(a.counts.values()) == 500.0
 
@@ -224,16 +250,30 @@ def test_jacobian_rejects_bad_epsilon():
         jacobian_sparsity(model, state, Action.Rest, 0.0)
 
 
+def _symbols(disc, state):
+    """The (i, b, e) symbol tuples of a state, binned here with `bisect_right`."""
+    edges = disc.internal_edges
+    b, e = state.boundary, state.external
+    r, c = e.agent_pos
+    return (
+        tuple(bisect_right(es, v) for es, v in zip(edges, state.internal.values)),
+        (bisect_right(edges[-1], b.sensed_ambient), int(b.flux_food != 0.0), int(b.flux_water != 0.0)),
+        (r, c, int(e.resource_map[r][c]), e.season),
+    )
+
+
 def _collect_symbolizing_every_state_twice(env, steps, seed, disc):
-    """The transition collector as first written: every state symbolized afresh."""
-    from interoai.blanket import BlanketSymbolizer
+    """The transition collector as first written: every state symbolized afresh.
+
+    Records are (i, b, e, a, i_next) symbol tuples, counts are keyed by the
+    tuples (i_next, e, (i, b, a)) in first-seen order.
+    """
     from interoai.core import step_factored
     from interoai.envs import Status, SurvivalTracker, respawn
     from interoai.homeostat import in_viability
     from interoai.rng import stream
 
     model = transition_maps(env)
-    sym = BlanketSymbolizer(disc)
     rng_env = stream(seed, 0, "blanket-env")
     rng_policy = stream(seed, 0, "blanket-policy")
     state = reset(env, seed)
@@ -242,13 +282,8 @@ def _collect_symbolizing_every_state_twice(env, steps, seed, disc):
     for _ in range(steps):
         action = uniform_random_policy(state, rng_policy)
         nxt = step_factored(model, state, action, rng_env)
-        record = (
-            sym.internal_symbol(state.internal),
-            sym.boundary_symbol(state.boundary),
-            sym.external_symbol(state.external),
-            int(action),
-            sym.internal_symbol(nxt.internal),
-        )
+        i_sym, b_sym, e_sym = _symbols(disc, state)
+        record = (i_sym, b_sym, e_sym, int(action), _symbols(disc, nxt)[0])
         transitions.append(record)
         key = (record[4], record[2], (record[0], record[1], record[3]))
         counts[key] = counts.get(key, 0.0) + 1.0
@@ -259,6 +294,11 @@ def _collect_symbolizing_every_state_twice(env, steps, seed, disc):
     return transitions, counts
 
 
+def _encoder(env, disc) -> BlanketTupleEncoder:
+    g = env.grid
+    return BlanketTupleEncoder(disc.internal_edges, g.rows, g.cols, len(Tag), len(g.seasons), len(ACTIONS))
+
+
 @pytest.mark.parametrize("coupled", [False, True])
 def test_collect_symbolizes_each_internal_state_once(monkeypatch, coupled):
     import interoai.blanket as blanket_mod
@@ -266,23 +306,132 @@ def test_collect_symbolizes_each_internal_state_once(monkeypatch, coupled):
     env = make_coupled_variant(ci_env(), 0.2) if coupled else ci_env()
     disc = ci_discretizer()
     steps = 600
-    expected = _collect_symbolizing_every_state_twice(env, steps, 3, disc)
+    transitions, tuple_counts = _collect_symbolizing_every_state_twice(env, steps, 3, disc)
+    enc = _encoder(env, disc)
+    expected_counts = {
+        (enc.internal(x), enc.external(y), enc.conditioner(*z)): c
+        for (x, y, z), c in tuple_counts.items()
+    }
 
     calls = {"bins": 0, "respawn": 0}
-    bins, respawn = Discretizer.internal_bins, blanket_mod.respawn
+    internal_code, respawn = BlanketSymbolizer.internal_code, blanket_mod.respawn
 
-    def counted_bins(self, values):
+    def counted_internal_code(self, internal):
         calls["bins"] += 1
-        return bins(self, values)
+        return internal_code(self, internal)
 
     def counted_respawn(*args):
         calls["respawn"] += 1
         return respawn(*args)
 
-    monkeypatch.setattr(Discretizer, "internal_bins", counted_bins)
+    monkeypatch.setattr(BlanketSymbolizer, "internal_code", counted_internal_code)
     monkeypatch.setattr(blanket_mod, "respawn", counted_respawn)
     ds = collect_transitions(env, uniform_random_policy, steps, 3, disc)
     assert calls["respawn"] > 0
-    assert calls["bins"] <= steps + 1 + calls["respawn"]
-    assert ds.transitions == expected[0]
-    assert ds.counts == expected[1]
+    assert steps < calls["bins"] <= steps + 1 + calls["respawn"]
+    assert ds.x.tolist() == [enc.internal(t[4]) for t in transitions]
+    assert ds.y.tolist() == [enc.external(t[2]) for t in transitions]
+    assert ds.z.tolist() == [enc.conditioner(t[0], t[1], t[3]) for t in transitions]
+    assert list(ds.counts.items()) == list(expected_counts.items())  # first-seen order too
+
+
+def test_dataset_codes_are_read_only_int64():
+    ds = collect_transitions(ci_env(), uniform_random_policy, 50, 0, ci_discretizer())
+    for codes in (ds.x, ds.y, ds.z):
+        assert codes.dtype == np.int64 and codes.shape == (50,)
+        with pytest.raises(ValueError):
+            codes[0] = 0
+
+
+def test_collect_rejects_discretizer_of_other_dimension():
+    disc = Discretizer(internal_edges=ci_discretizer().internal_edges[:2])
+    with pytest.raises(ConfigError, match="edge sets"):
+        collect_transitions(ci_env(), uniform_random_policy, 10, 0, disc)
+
+
+def test_symbolizer_rejects_code_spaces_beyond_int64():
+    disc = Discretizer(internal_edges=((0.0,),))
+    season = SeasonSpec(baseline=40.0, placements=())
+    # rows * cols * 4 tags * 1 season = 2**63 codes: the largest, 2**63 - 1, fits.
+    fits = GridSpec(rows=2**30, cols=2**31, start=(0, 0), seasons=(season,))
+    BlanketSymbolizer(disc, fits)
+    with pytest.raises(ConfigError, match="int64"):
+        BlanketSymbolizer(disc, GridSpec(rows=2**30 + 1, cols=2**31, start=(0, 0), seasons=(season,)))
+    many_bins = Discretizer(internal_edges=(tuple(float(k) for k in range(8)),) * 30)
+    with pytest.raises(ConfigError, match="int64"):
+        BlanketSymbolizer(many_bins, GridSpec(rows=2, cols=2, start=(0, 0), seasons=(season,)))
+
+
+_EDGE_SET = st.lists(st.integers(-20, 20), min_size=1, max_size=5, unique=True).map(
+    lambda ks: tuple(float(k) for k in sorted(ks))
+)
+_VALUE = st.integers(-44, 44).map(lambda k: k / 2)  # on, between and beyond the edges
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    edges=st.lists(_EDGE_SET, min_size=1, max_size=4),
+    rows=st.integers(1, 6),
+    cols=st.integers(1, 6),
+    n_seasons=st.integers(1, 3),
+    data=st.data(),
+)
+def test_codes_are_the_tuple_encoding_and_injective(edges, rows, cols, n_seasons, data):
+    disc = Discretizer(internal_edges=tuple(edges))
+    grid = GridSpec(
+        rows=rows, cols=cols, start=(0, 0), seasons=(SeasonSpec(baseline=40.0, placements=()),) * n_seasons
+    )
+    sym = BlanketSymbolizer(disc, grid)
+    enc = BlanketTupleEncoder(disc.internal_edges, rows, cols, len(Tag), n_seasons, len(ACTIONS))
+    tag_rows = st.lists(st.sampled_from(list(Tag)), min_size=cols, max_size=cols).map(tuple)
+    tags = data.draw(st.lists(tag_rows, min_size=rows, max_size=rows).map(tuple))
+    flux = st.sampled_from((0.0, 0.25))
+    pairs = []  # (symbol tuple, code) of every kind, tagged by kind
+    for _ in range(30):
+        values = tuple(data.draw(_VALUE) for _ in edges)
+        boundary = BoundaryState(data.draw(_VALUE), data.draw(flux), data.draw(flux))
+        external = ExternalState(
+            agent_pos=(data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))),
+            resource_map=tags,
+            ambient_field=(),
+            season=data.draw(st.integers(0, n_seasons - 1)),
+        )
+        action = data.draw(st.sampled_from(ACTIONS))
+        state = FactoredState(InternalState(values), boundary, external, t=0)
+        i_sym, b_sym, e_sym = _symbols(disc, state)
+        i_code = sym.internal_code(state.internal)
+        b_code = sym.boundary_code(boundary)
+        e_code = sym.external_code(external)
+        z_code = sym.conditioner_code(i_code, b_code, action)
+        assert i_code == enc.internal(i_sym)
+        assert b_code == enc.boundary(b_sym)
+        assert e_code == enc.external(e_sym)
+        assert z_code == enc.conditioner(i_sym, b_sym, int(action))
+        pairs += [
+            (("i", i_sym), i_code),
+            (("b", b_sym), b_code),
+            (("e", e_sym), e_code),
+            (("z", i_sym, b_sym, int(action)), z_code),
+        ]
+    for kind in "ibez":
+        same_kind = [(sym_, code) for sym_, code in pairs if sym_[0] == kind]
+        symbols = {sym_ for sym_, _ in same_kind}
+        codes = {code for _, code in same_kind}
+        assert len(symbols) == len(codes) == len(set(same_kind))  # distinct symbols <=> distinct codes
+
+
+def test_collect_retains_under_3_mib_at_20k_steps():
+    # A tuple record per transition retains about 7.2 MiB here; three int64
+    # arrays and the counts table retain about 2.2 MiB.
+    settings_ = parse_config(default_config()).blanket
+    env, disc = settings_.env, settings_.discretizer
+    collect_transitions(env, uniform_random_policy, 100, 0, disc)  # fill the env's caches first
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ds = collect_transitions(env, uniform_random_policy, 20_000, settings_.seed, disc)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(ds) == 20_000
+    assert retained < 3 * 2**20

@@ -241,6 +241,39 @@ def test_sweep_caps_workers_at_the_seed_count(tmp_path, monkeypatch):
     assert pools == [2]  # one seed runs in this process, without a pool
 
 
+def test_sweep_workers_send_back_only_the_metrics_row(tmp_path, monkeypatch):
+    import pickle
+
+    import interoai.harness.runner as runner_mod
+
+    returned = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            pickle.dumps(fn)  # a worker process is sent the callable by pickle
+            for item in items:
+                returned.append(fn(item))
+                yield returned[-1]
+
+    monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", InlinePool)
+    cfg = parse_config(quick_config_doc(train_steps=0, eval_steps=20, seeds=[0, 1]))
+    table = sweep(cfg, str(tmp_path / "pool"), jobs=2)
+    assert [type(row) for row in returned] == [MetricsRow, MetricsRow]
+    assert table.rows == returned
+    sweep(cfg, str(tmp_path / "serial"), jobs=1)
+    for name in ("metrics.csv", "log_seed0.csv", "log_seed1.csv"):
+        assert (tmp_path / "pool" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "absent.json")
