@@ -68,13 +68,6 @@ class Discretizer:
         """Bin of a sensed ambient temperature: the last edge set, core temperature's."""
         return bisect_right(self.internal_edges[-1], x)
 
-    def internal_bins(self, values: tuple[float, ...]) -> tuple[int, ...]:
-        if len(values) != len(self.internal_edges):
-            raise ConfigError(
-                f"{len(values)} internal values vs {len(self.internal_edges)} edge sets"
-            )
-        return tuple(bisect_right(edges, v) for edges, v in zip(self.internal_edges, values))
-
     def external_features(self, state: FactoredState) -> tuple:
         ext = state.external
         pos = ext.agent_pos
@@ -85,8 +78,9 @@ class Discretizer:
     def key(self, state: FactoredState) -> ObsKey:
         """External features, then the boundary features, then the internal bins.
 
-        Built in one pass; the parts are those `external_features`,
-        `ambient_bin` and `internal_bins` return.
+        Built in one pass: the external part is what `external_features`
+        returns, the ambient part is `ambient_bin`, and the key ends with one
+        bin per internal dimension: the count of its edges at or below the value.
         """
         ext, b = state.external, state.boundary
         values = state.internal.values
@@ -260,13 +254,6 @@ class RandomAgent:
     def learn(self, state: FactoredState, action: Action, nxt: FactoredState) -> None:
         pass
 
-    def policy_probs(self, state: FactoredState) -> tuple[float, ...]:
-        p = 1.0 / len(ACTIONS)
-        return (p,) * len(ACTIONS)
-
-    def greedy_action(self, state: FactoredState) -> Action:
-        return ACTIONS[0]
-
 
 class TabularQAgent:
     """Shared machinery for the three learning agents.
@@ -322,14 +309,8 @@ class TabularQAgent:
         self._state, self._facts_of_state = state, facts
         return facts
 
-    def observe(self, state: FactoredState) -> ObsKey:
-        return self._facts(state)[0]
-
     def drive_of(self, state: FactoredState) -> float:
         return self._facts(state)[1]
-
-    def signals(self, state: FactoredState) -> ModulationSignals:
-        return self._facts(state)[2]
 
     def table_for(self, context_id: int) -> QTable:
         table = self.tables.get(context_id)
@@ -360,10 +341,6 @@ class TabularQAgent:
         q_update(table, transition, self.cfg.alpha, self.cfg.gamma, sig.td_gain)
 
     # -- probes ---------------------------------------------------------------
-
-    def policy_probs(self, state: FactoredState) -> tuple[float, ...]:
-        obs, _, sig = self._facts(state)
-        return softmax_probs(self.table_for(sig.context_id).row(obs), sig.temperature)
 
     def greedy_action(self, state: FactoredState) -> Action:
         obs, _, sig = self._facts(state)

@@ -1,22 +1,26 @@
 """Experiment configuration: a single strict JSON document.
 
-Unknown keys anywhere in the document are errors, as are dimension
-mismatches, so a typo fails before any simulation starts.  The parsed
-object tree is immutable and picklable, which lets sweep workers receive
-it directly.
+Each section is read from the fields of its config dataclass: a key is a
+field's name, its value is parsed by the field's annotated type, and a key
+may be omitted exactly when its field has a default.  Unknown keys
+anywhere in the document are errors, as are lists of the wrong length and
+dimension mismatches, so a typo fails before any simulation starts.  The
+parsed object tree is immutable and picklable, which lets sweep workers
+receive it directly.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from functools import cache
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, get_args, get_origin, get_type_hints
 
 from ..agents import AgentConfig, Discretizer, NeuromodConfig
 from ..core import Tag
-from ..envs import INTERNAL_DIM, GridSpec, HomeoGridEnv, SeasonSchedule, SeasonSpec
+from ..envs import INTERNAL_DIM, GridSpec, HomeoGridEnv, SeasonSchedule
 from ..errors import ConfigError, require_finite
 from ..homeostat import DriveModel
 
@@ -26,7 +30,7 @@ class RunSettings:
     train_steps: int
     eval_steps: int
     seeds: tuple[int, ...]
-    out_dir: str
+    out_dir: str = "out"
 
     def __post_init__(self) -> None:
         if self.train_steps < 0:
@@ -37,14 +41,16 @@ class RunSettings:
             raise ConfigError("seed list must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seed list has duplicates: {list(self.seeds)}")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be >= 0, got {list(self.seeds)}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class BlanketSettings:
     steps: int
-    seed: int
+    seed: int = 0
     lam: float
-    epsilon: float
+    epsilon: float = 1e-3
     tol_lo: float
     tol_hi: float
     env: HomeoGridEnv
@@ -54,6 +60,8 @@ class BlanketSettings:
         require_finite(self, "lam", "epsilon", "tol_lo", "tol_hi")
         if self.steps < 1:
             raise ConfigError("blanket steps must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"blanket seed must be >= 0, got {self.seed}")
         if self.lam <= 0.0:
             raise ConfigError("blanket lambda must be > 0")
         if self.epsilon <= 0.0:
@@ -74,7 +82,12 @@ class ExperimentConfig:
     blanket: BlanketSettings
 
 
-def _checked(section: Any, allowed: set[str], where: str) -> Mapping[str, Any]:
+# The document's key for a field whose name it spells differently.  The
+# drive's exponents (n, m) are one list, `exponents`; see `_drive`.
+_KEYS = {"lam": "lambda", "internal_edges": "bins", "placements": "resources"}
+
+
+def _object(section: Any, allowed: set[str], where: str) -> Mapping[str, Any]:
     if not isinstance(section, Mapping):
         raise ConfigError(f"{where} must be an object")
     unknown = set(section) - allowed
@@ -109,154 +122,125 @@ def _float(value: Any, where: str) -> float:
     raise ConfigError(f"{where} must be a finite number, got {value!r}")
 
 
-def _bool(section: Mapping[str, Any], key: str, default: bool, where: str) -> bool:
+def _bool(value: Any, where: str) -> bool:
     """A JSON true/false; strings such as "false" are rejected, not truth-tested."""
-    value = section.get(key, default)
     if not isinstance(value, bool):
-        raise ConfigError(f"{where}.{key} must be true or false, got {value!r}")
+        raise ConfigError(f"{where} must be true or false, got {value!r}")
     return value
 
 
-def _parse_env(section: Any, drive_section: Any, where: str) -> HomeoGridEnv:
-    env = _checked(
-        section,
-        {
-            "rows", "cols", "start", "shade_delta", "noise_std", "seasons",
-            "period", "order", "c_e", "c_h", "e_gain", "w_gain", "kappa", "leak",
-        },
+def _str(value: Any, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string, got {value!r}")
+    return value
+
+
+def _tag(value: Any, where: str) -> Tag:
+    if not isinstance(value, str) or value not in Tag.__members__:
+        raise ConfigError(f"{where}: unknown resource tag {value!r}")
+    return Tag[value]
+
+
+# How a JSON value becomes a field value, by the field's annotated type.
+_PARSERS = {int: _int, float: _float, bool: _bool, str: _str, Tag: _tag}
+_hints = cache(get_type_hints)
+
+
+def _parse(kind: Any, value: Any, where: str) -> Any:
+    """`value` read as type `kind`.
+
+    A tuple is a JSON list, of exactly the declared length unless the tuple
+    is variadic; a config dataclass is a JSON object.
+    """
+    if get_origin(kind) is tuple:
+        items = get_args(kind)
+        variadic = items[-1] is Ellipsis
+        if not isinstance(value, list) or not (variadic or len(value) == len(items)):
+            shape = "a list" if variadic else f"a list of {len(items)}"
+            raise ConfigError(f"{where} must be {shape}, got {value!r}")
+        if variadic:
+            items = items[:1] * len(value)
+        return tuple(_parse(k, v, f"{where}[{i}]") for i, (k, v) in enumerate(zip(items, value)))
+    if is_dataclass(kind):
+        return _read(kind, _object(value, _keys(kind), where), where)
+    return _PARSERS[kind](value, where)
+
+
+def _keys(cls: type, *given: str) -> set[str]:
+    """The document keys of `cls`'s fields, except the fields named in `given`."""
+    return {_KEYS.get(f.name, f.name) for f in fields(cls) if f.name not in given}
+
+
+def _read(cls: type, section: Mapping[str, Any], where: str, **given: Any) -> Any:
+    """A `cls` from the keys of `section` that name its fields; `given` fills the others.
+
+    `section`'s keys must already be checked: keys of other classes that
+    share the section are ignored here.
+    """
+    hints = _hints(cls)
+    for f in fields(cls):
+        if f.name in given:
+            continue
+        key = _KEYS.get(f.name, f.name)
+        if key in section:
+            given[f.name] = _parse(hints[f.name], section[key], f"{where}.{key}")
+        elif f.default is MISSING:
+            raise ConfigError(f"missing key {key!r} in {where}")
+    return cls(**given)
+
+
+def _drive(section: Any, where: str) -> DriveModel:
+    """A `DriveModel`; the document gives its exponents (n, m) as one list."""
+    d = _object(section, _keys(DriveModel, "n", "m") | {"exponents"}, where)
+    if "exponents" in d:
+        n, m = _parse(tuple[float, float], d["exponents"], f"{where}.exponents")
+        return _read(DriveModel, d, where, n=n, m=m)
+    return _read(DriveModel, d, where)
+
+
+def _env(section: Any, drive_section: Any, where: str, drive_where: str) -> HomeoGridEnv:
+    """One `env` object holds the fields of the grid, its schedule and the env itself."""
+    nested = ("grid", "schedule", "drive_model")
+    allowed = _keys(GridSpec) | _keys(SeasonSchedule) | _keys(HomeoGridEnv, *nested)
+    env = _object(section, allowed, where)
+    return _read(
+        HomeoGridEnv,
+        env,
         where,
-    )
-    seasons = []
-    for i, raw in enumerate(_get(env, "seasons", where)):
-        s = _checked(raw, {"baseline", "resources"}, f"{where}.seasons[{i}]")
-        placements = []
-        cell = f"{where}.seasons[{i}].resources"
-        for r, c, tag in _get(s, "resources", f"{where}.seasons[{i}]"):
-            try:
-                placements.append((_int(r, cell), _int(c, cell), Tag[tag]))
-            except KeyError:
-                raise ConfigError(f"unknown resource tag {tag!r}") from None
-        seasons.append(
-            SeasonSpec(
-                baseline=_float(_get(s, "baseline", where), f"{where}.seasons[{i}].baseline"),
-                placements=tuple(placements),
-            )
-        )
-    grid = GridSpec(
-        rows=_int(_get(env, "rows", where), f"{where}.rows"),
-        cols=_int(_get(env, "cols", where), f"{where}.cols"),
-        start=tuple(_int(v, f"{where}.start") for v in _get(env, "start", where)),
-        seasons=tuple(seasons),
-        noise_std=_float(env.get("noise_std", GridSpec.noise_std), f"{where}.noise_std"),
-        shade_delta=_float(env.get("shade_delta", GridSpec.shade_delta), f"{where}.shade_delta"),
-    )
-    schedule = SeasonSchedule(
-        period=_int(_get(env, "period", where), f"{where}.period"),
-        order=tuple(_int(v, f"{where}.order") for v in _get(env, "order", where)),
-    )
-    return HomeoGridEnv(
-        grid=grid,
-        schedule=schedule,
-        drive_model=_parse_drive(drive_section, where + " drive"),
-        c_e=_float(_get(env, "c_e", where), f"{where}.c_e"),
-        c_h=_float(_get(env, "c_h", where), f"{where}.c_h"),
-        e_gain=_float(_get(env, "e_gain", where), f"{where}.e_gain"),
-        w_gain=_float(_get(env, "w_gain", where), f"{where}.w_gain"),
-        kappa=_float(_get(env, "kappa", where), f"{where}.kappa"),
-        leak=_float(env.get("leak", HomeoGridEnv.leak), f"{where}.leak"),
+        grid=_read(GridSpec, env, where),
+        schedule=_read(SeasonSchedule, env, where),
+        drive_model=_drive(drive_section, drive_where),
     )
 
 
-def _parse_drive(section: Any, where: str) -> DriveModel:
-    d = _checked(
-        section, {"set_point", "weights", "exponents", "viability", "grace_steps"}, where
-    )
-    exponents = _get(d, "exponents", where)
-    if len(exponents) != 2:
-        raise ConfigError(f"{where}.exponents must be [n, m]")
-    return DriveModel(
-        set_point=tuple(_float(v, f"{where}.set_point") for v in _get(d, "set_point", where)),
-        weights=tuple(_float(v, f"{where}.weights") for v in _get(d, "weights", where)),
-        n=_float(exponents[0], f"{where}.exponents"),
-        m=_float(exponents[1], f"{where}.exponents"),
-        viability=tuple(
-            (_float(lo, f"{where}.viability"), _float(hi, f"{where}.viability"))
-            for lo, hi in _get(d, "viability", where)
-        ),
-        grace_steps=_int(_get(d, "grace_steps", where), f"{where}.grace_steps"),
-    )
+def _discretizer(section: Mapping[str, Any], where: str) -> Discretizer:
+    disc = _read(Discretizer, section, where)
+    if len(disc.internal_edges) != INTERNAL_DIM:
+        raise ConfigError(f"{where}.bins needs {INTERNAL_DIM} edge lists")
+    return disc
 
 
-def _parse_bins(raw: Any, where: str) -> tuple[tuple[float, ...], ...]:
-    if len(raw) != INTERNAL_DIM:
-        raise ConfigError(f"{where} needs {INTERNAL_DIM} edge lists")
-    return tuple(tuple(_float(v, where) for v in edges) for edges in raw)
+def _blanket(section: Any) -> BlanketSettings:
+    """The verifier's settings and its own world: an env, its drive and its bins."""
+    b = _object(section, _keys(BlanketSettings, "discretizer") | {"drive", "bins"}, "blanket")
+    env = _env(_get(b, "env", "blanket"), _get(b, "drive", "blanket"), "blanket.env", "blanket.drive")
+    return _read(BlanketSettings, b, "blanket", env=env, discretizer=_discretizer(b, "blanket"))
+
+
+_SECTIONS = ("env", "drive", "agent", "neuromod", "run", "blanket")
 
 
 def parse_config(doc: Any) -> ExperimentConfig:
-    top = _checked(doc, {"env", "drive", "agent", "neuromod", "run", "blanket"}, "config")
-
-    env = _parse_env(_get(top, "env", "config"), _get(top, "drive", "config"), "env")
-
-    a = _checked(
-        _get(top, "agent", "config"),
-        {"kind", "alpha", "gamma", "tau", "bins", "season_visible", "sense_ambient"},
-        "agent",
-    )
-    # Omitted keys take the dataclass defaults, which live in one place.
-    agent = AgentConfig(
-        kind=str(_get(a, "kind", "agent")),
-        alpha=_float(a.get("alpha", AgentConfig.alpha), "agent.alpha"),
-        gamma=_float(a.get("gamma", AgentConfig.gamma), "agent.gamma"),
-        tau=_float(a.get("tau", AgentConfig.tau), "agent.tau"),
-    )
-    discretizer = Discretizer(
-        internal_edges=_parse_bins(_get(a, "bins", "agent"), "agent.bins"),
-        season_visible=_bool(a, "season_visible", Discretizer.season_visible, "agent"),
-        sense_ambient=_bool(a, "sense_ambient", Discretizer.sense_ambient, "agent"),
-    )
-
-    nm = _checked(
-        _get(top, "neuromod", "config"),
-        {"tau_min", "tau_max", "beta_tau", "beta_g", "context_gating"},
-        "neuromod",
-    )
-    neuromod = NeuromodConfig(
-        tau_min=_float(nm.get("tau_min", NeuromodConfig.tau_min), "neuromod.tau_min"),
-        tau_max=_float(nm.get("tau_max", NeuromodConfig.tau_max), "neuromod.tau_max"),
-        beta_tau=_float(nm.get("beta_tau", NeuromodConfig.beta_tau), "neuromod.beta_tau"),
-        beta_g=_float(nm.get("beta_g", NeuromodConfig.beta_g), "neuromod.beta_g"),
-        context_gating=_bool(nm, "context_gating", NeuromodConfig.context_gating, "neuromod"),
-    )
-
-    r = _checked(
-        _get(top, "run", "config"), {"train_steps", "eval_steps", "seeds", "out_dir"}, "run"
-    )
-    run = RunSettings(
-        train_steps=_int(_get(r, "train_steps", "run"), "run.train_steps"),
-        eval_steps=_int(_get(r, "eval_steps", "run"), "run.eval_steps"),
-        seeds=tuple(_int(s, "run.seeds") for s in _get(r, "seeds", "run")),
-        out_dir=str(r.get("out_dir", "out")),
-    )
-
-    b = _checked(
-        _get(top, "blanket", "config"),
-        {"steps", "seed", "lambda", "epsilon", "tol_lo", "tol_hi", "env", "drive", "bins"},
-        "blanket",
-    )
-    blanket = BlanketSettings(
-        steps=_int(_get(b, "steps", "blanket"), "blanket.steps"),
-        seed=_int(b.get("seed", 0), "blanket.seed"),
-        lam=_float(_get(b, "lambda", "blanket"), "blanket.lambda"),
-        epsilon=_float(b.get("epsilon", 1e-3), "blanket.epsilon"),
-        tol_lo=_float(_get(b, "tol_lo", "blanket"), "blanket.tol_lo"),
-        tol_hi=_float(_get(b, "tol_hi", "blanket"), "blanket.tol_hi"),
-        env=_parse_env(_get(b, "env", "blanket"), _get(b, "drive", "blanket"), "blanket.env"),
-        discretizer=Discretizer(internal_edges=_parse_bins(_get(b, "bins", "blanket"), "blanket.bins")),
-    )
-
+    top = _object(doc, set(_SECTIONS), "config")
+    env, drive, agent, neuromod, run, blanket = (_get(top, key, "config") for key in _SECTIONS)
+    agent = _object(agent, _keys(AgentConfig) | _keys(Discretizer), "agent")
     return ExperimentConfig(
-        env=env, agent=agent, discretizer=discretizer, neuromod=neuromod, run=run, blanket=blanket
+        env=_env(env, drive, "env", "drive"),
+        agent=_read(AgentConfig, agent, "agent"),
+        discretizer=_discretizer(agent, "agent"),
+        neuromod=_parse(NeuromodConfig, neuromod, "neuromod"),
+        run=_parse(RunSettings, run, "run"),
+        blanket=_blanket(blanket),
     )
 
 

@@ -72,6 +72,8 @@ class RunResult:
 
 def execute_run(config: ExperimentConfig, seed: int) -> RunResult:
     """Train and evaluate one agent; pure function of (config, seed)."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     env = config.env
     dm = env.drive_model
     model = transition_maps(env)

@@ -30,6 +30,12 @@ from helpers import TINY_DRIVE, make_tiny_env
 DISC = Discretizer(internal_edges=((0.3, 0.5), (0.3, 0.5), (36.0, 38.5, 40.0)))
 
 
+def internal_bins(disc: Discretizer, values: tuple[float, ...]) -> tuple:
+    """The internal bins that end `disc.key` for a state with these internal values."""
+    state = dataclasses.replace(reset(make_tiny_env(), 0), internal=InternalState(values))
+    return disc.key(state)[-len(values):]
+
+
 def test_discretize_deterministic_and_binned():
     env = make_tiny_env()
     state = reset(env, 0)
@@ -41,15 +47,15 @@ def test_discretize_deterministic_and_binned():
 
 
 def test_bin_edge_maps_to_upper_bin():
-    assert DISC.internal_bins((0.3, 0.0, 35.0)) == (1, 0, 0)
-    assert DISC.internal_bins((0.5, 0.5, 40.0)) == (2, 2, 3)
+    assert internal_bins(DISC, (0.3, 0.0, 35.0)) == (1, 0, 0)
+    assert internal_bins(DISC, (0.5, 0.5, 40.0)) == (2, 2, 3)
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_every_real_maps_to_exactly_one_bin(v):
     edges = (-1.0, 0.0, 2.5)
     d = Discretizer(internal_edges=(edges,))
-    (b,) = d.internal_bins((v,))
+    (b,) = internal_bins(d, (v,))
     assert 0 <= b <= len(edges)
 
 
@@ -73,7 +79,7 @@ def test_ambient_bin_is_the_key_and_blanket_ambient_feature():
     for sensed in (30.0, 36.0, 38.0, 38.5, 45.0):
         probe = dataclasses.replace(state, boundary=dataclasses.replace(b, sensed_ambient=sensed))
         expected = DISC.ambient_bin(sensed)
-        assert expected == DISC.internal_bins((0.0, 0.0, sensed))[-1]
+        assert expected == internal_bins(DISC, (0.0, 0.0, sensed))[-1]
         assert DISC.key(probe)[5] == expected  # after row, col, tag and the two flux bits
         # The ambient bin is the boundary code's leading digit, above the two flux bits.
         assert BlanketSymbolizer(DISC, env.grid).boundary_code(probe.boundary) // 4 == expected
@@ -223,13 +229,13 @@ def test_context_isolation_replay():
         nxt = dataclasses.replace(
             probe, internal=InternalState((0.55, 0.55, 37.5)), t=probe.t + 1
         )
-        sig = agent.signals(probe)
+        obs, _, sig = agent._facts(probe)
         per_context_updates.setdefault(sig.context_id, []).append(
             (
-                agent.observe(probe),
+                obs,
                 action,
                 agent.reward(probe, action, nxt),
-                agent.observe(nxt),
+                agent._facts(nxt)[0],
                 sig.td_gain,
             )
         )
@@ -290,7 +296,7 @@ def test_external_reward_agent_sees_no_internal_state():
     agent = make_agent(AgentConfig(kind="ExternalRewardQ"), TINY_DRIVE, DISC)
     state = reset(env, 0)
     depleted = dataclasses.replace(state, internal=InternalState((0.15, 0.15, 39.0)))
-    assert agent.observe(state) == agent.observe(depleted)
+    assert agent._facts(state)[0] == agent._facts(depleted)[0]
     on_food = dataclasses.replace(
         state, external=dataclasses.replace(state.external, agent_pos=(0, 0))
     )
@@ -414,6 +420,10 @@ def test_memoized_agent_matches_a_fresh_one_on_states_out_of_order(kind):
     def copy_of(state):
         return dataclasses.replace(state)
 
+    def policy(agent, state):
+        obs, _, sig = agent._facts(state)
+        return softmax_probs(agent.table_for(sig.context_id).row(obs), sig.temperature)
+
     for _ in range(400):
         i, j = (int(v) for v in order.integers(0, len(states), size=2))
         s, nxt = states[i], states[j]
@@ -423,7 +433,7 @@ def test_memoized_agent_matches_a_fresh_one_on_states_out_of_order(kind):
         assert memo.drive_of(nxt) == fresh.drive_of(copy_of(nxt))
         memo.learn(s, a, nxt)
         fresh.learn(copy_of(s), a, copy_of(nxt))
-        assert memo.policy_probs(s) == fresh.policy_probs(copy_of(s))
+        assert policy(memo, s) == policy(fresh, copy_of(s))
     assert memo.tables.keys() == fresh.tables.keys()
     for ctx, table in memo.tables.items():
         assert table.values == fresh.tables[ctx].values

@@ -7,11 +7,19 @@ from pathlib import Path
 
 import pytest
 
+from interoai.agents import AgentConfig
 from interoai.blanket import CmiVerdict
 from interoai.envs import GridSpec, HomeoGridEnv
 from interoai.errors import ConfigError
 from interoai.harness.cli import main
-from interoai.harness.config import default_config, load_config, parse_config
+from interoai.harness.config import (
+    BlanketSettings,
+    RunSettings,
+    default_config,
+    load_config,
+    parse_config,
+)
+from interoai.homeostat import DriveModel
 from interoai.harness.export import (
     LOG_HEADER,
     drive_svg_text,
@@ -212,6 +220,89 @@ def test_nan_literal_in_config_file_rejected(tmp_path):
     path.write_text(json.dumps(quick_config_doc()).replace('"c_e": 0.02', '"c_e": NaN'))
     with pytest.raises(ConfigError, match="c_e"):
         load_config(path)
+
+
+def _set(doc: dict, path: tuple, value) -> None:
+    *outer, key = path
+    for part in outer:
+        doc = doc[part]
+    doc[key] = value
+
+
+def test_omitted_optional_keys_take_the_dataclass_defaults(quick_doc):
+    del quick_doc["agent"]["kind"]
+    for key in ("exponents", "viability", "grace_steps"):
+        del quick_doc["drive"][key]
+    for key in ("seed", "epsilon"):
+        del quick_doc["blanket"][key]
+    del quick_doc["run"]["out_dir"]
+    cfg = parse_config(quick_doc)
+    assert cfg.agent.kind == AgentConfig.kind
+    dm = cfg.env.drive_model
+    assert (dm.n, dm.m) == (DriveModel.n, DriveModel.m)
+    assert (dm.viability, dm.grace_steps) == (DriveModel.viability, DriveModel.grace_steps)
+    assert (cfg.blanket.seed, cfg.blanket.epsilon) == (BlanketSettings.seed, BlanketSettings.epsilon)
+    assert cfg.run.out_dir == RunSettings.out_dir
+
+
+@pytest.mark.parametrize(
+    "path", [("blanket", "lambda"), ("agent", "bins"), ("env", "seasons", 0, "resources")]
+)
+def test_required_keys_are_named_as_the_document_spells_them(quick_doc, path):
+    *outer, key = path
+    section = quick_doc
+    for part in outer:
+        section = section[part]
+    del section[key]
+    with pytest.raises(ConfigError, match=f"missing key '{key}'"):
+        parse_config(quick_doc)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        pytest.param(("agent", "bins"), 5, id="bins-number"),
+        pytest.param(("env", "seasons"), 5, id="seasons-number"),
+        pytest.param(("drive", "exponents"), 5, id="exponents-number"),
+        pytest.param(("drive", "exponents"), [2.0], id="exponents-short"),
+        pytest.param(("env", "seasons", 0, "resources", 0), [3, 2], id="resource-short"),
+        pytest.param(("env", "start"), [3, 3, 3], id="start-long"),
+        pytest.param(("drive", "viability", 0), [0.1, 0.5, 1.1], id="viability-long"),
+        pytest.param(("run", "out_dir"), None, id="out_dir-null"),
+        pytest.param(("agent", "kind"), 5, id="kind-number"),
+    ],
+)
+def test_list_shapes_and_strings_checked(quick_doc, path, value):
+    _set(quick_doc, path, value)
+    key = next(part for part in reversed(path) if isinstance(part, str))
+    with pytest.raises(ConfigError, match=key):
+        parse_config(quick_doc)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [pytest.param(("run", "seeds"), [-1], id="run"), pytest.param(("blanket", "seed"), -3, id="blanket")],
+)
+def test_negative_seeds_rejected(quick_doc, path, value):
+    _set(quick_doc, path, value)
+    with pytest.raises(ConfigError, match="seed"):
+        parse_config(quick_doc)
+
+
+def test_negative_run_seed_rejected_before_any_step(quick_cfg, tmp_path, monkeypatch):
+    import interoai.harness.runner as runner_mod
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("no reset or step may run")
+
+    monkeypatch.setattr(runner_mod, "reset", must_not_run)
+    monkeypatch.setattr(runner_mod, "step_factored", must_not_run)
+    with pytest.raises(ConfigError, match="seed"):
+        execute_run(quick_cfg, -1)
+    cfg_path = _write_config(tmp_path, quick_config_doc())
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg_path, "--seed", "-1", "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_sweep_caps_workers_at_the_seed_count(tmp_path, monkeypatch):
@@ -589,6 +680,15 @@ def test_cli_config_error_exit_code(tmp_path):
     cfg_path = _write_config(tmp_path, doc)
     assert main(["run", "--config", cfg_path, "--seed", "0", "--out", str(tmp_path)]) == 1
     assert main(["run", "--config", str(tmp_path / "nope.json"), "--seed", "0", "--out", str(tmp_path)]) == 1
+
+
+def test_cli_reports_a_misshapen_list_as_a_config_error(tmp_path, capsys):
+    doc = quick_config_doc()
+    doc["env"]["start"] = [3, 3, 3]
+    cfg_path = _write_config(tmp_path, doc)
+    assert main(["run", "--config", cfg_path, "--seed", "0", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "env.start" in err
 
 
 def test_cli_verify_blanket_pass_and_fail(tmp_path):

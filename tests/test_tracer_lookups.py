@@ -6,10 +6,11 @@ name the tracer patches, would otherwise break only traced benchmark runs.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 from interoai import core
-from interoai.harness import runner
+from interoai.harness import config, runner
 
 BENCH_TRACE = Path(__file__).resolve().parents[1] / "bench" / "bench_trace.py"
 
@@ -39,3 +40,19 @@ def test_tracer_sees_every_step_of_a_run_and_a_verification(quick_cfg):
     assert calls["harness.runner.execute_run"] == 1
     assert calls["harness.runner.verify_blanket"] == 1
     assert runner.step_factored is core.step_factored  # uninstalled again
+
+
+def test_tracer_sees_one_span_per_config_load(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config.default_config()), encoding="utf-8")
+    bench_trace = _load_bench_trace()
+    rec = bench_trace.SpanRecorder()
+    original = config.load_config
+    uninstall = bench_trace.install(rec)
+    try:
+        loaded = config.load_config(path)
+    finally:
+        uninstall()
+    assert [rec.names[i] for i in rec.name_id] == ["harness.config.load_config"]
+    assert loaded == config.parse_config(config.default_config())
+    assert config.load_config is original  # uninstalled again
