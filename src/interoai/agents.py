@@ -340,12 +340,6 @@ class TabularQAgent:
         table = self.table_for(sig.context_id)
         q_update(table, transition, self.cfg.alpha, self.cfg.gamma, sig.td_gain)
 
-    # -- probes ---------------------------------------------------------------
-
-    def greedy_action(self, state: FactoredState) -> Action:
-        obs, _, sig = self._facts(state)
-        return self.table_for(sig.context_id).greedy(obs)
-
 
 def make_agent(
     cfg: AgentConfig,

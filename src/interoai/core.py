@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -126,40 +126,31 @@ class StateSchema:
 
 @dataclass(frozen=True)
 class TransitionModel:
-    """The three update maps, plus an optional blanket-violating leak.
+    """The three update maps, the state schema, and an optional blanket-violating leak.
 
     `internal_leak` replaces `f_i` when set.  The factored build keeps it
     None so the internal update cannot read the external state at all.
 
-    `checked_grids` is the model's own memo for `check_schema`: grids whose
-    shape already passed, keyed by identity.  Grids are immutable tuples, so
-    a grid seen again needs no rescan; holding it keeps its id from reuse.
+    `built_grids` maps `id(grid)` to each grid the env built to fit the
+    schema; `check_schema` trusts exactly those and scans every other grid.
+    Holding the grids keeps their ids from reuse.
     """
 
     f_b: FBoundary
     f_i: FInternal
     f_e: FExternal
+    schema: StateSchema
     internal_leak: Optional[FInternalLeak] = None
-    schema: Optional[StateSchema] = None
-    checked_grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    built_grids: Mapping[int, tuple] = field(default_factory=dict, repr=False, compare=False)
 
 
-# Grids a shape memo holds before it starts over.  A world that redraws its
-# ambient field every step would otherwise keep every field alive.
-_MEMO_GRIDS = 8
-
-
-def _check_grid(grid, rows: int, cols: int, what: str, memo: Optional[dict] = None) -> None:
+def _check_grid(grid, rows: int, cols: int, what: str) -> None:
     """Raise SchemaMismatch unless `grid` has `rows` rows of `cols` cells each."""
     if len(grid) != rows:
         raise SchemaMismatch(f"{what} shape disagrees with {rows}x{cols}")
     for row in grid:
         if len(row) != cols:
             raise SchemaMismatch(f"{what} shape disagrees with {rows}x{cols}")
-    if memo is not None:
-        if len(memo) >= _MEMO_GRIDS:
-            memo.clear()
-        memo[id(grid)] = grid
 
 
 def _check_pos(pos: tuple[int, int], rows: int, cols: int, what: str) -> None:
@@ -168,16 +159,13 @@ def _check_pos(pos: tuple[int, int], rows: int, cols: int, what: str) -> None:
         raise SchemaMismatch(f"{what} {pos} out of bounds")
 
 
-def check_schema(
-    schema: Optional[StateSchema], state: FactoredState, checked_grids: Optional[dict] = None
-) -> None:
+def check_schema(model: TransitionModel, state: FactoredState) -> None:
     """Raise SchemaMismatch unless the state fits the model's schema.
 
-    With `checked_grids` (see `TransitionModel`), a grid already found there
-    by identity is not scanned again; every other check runs on every call.
+    A grid in `model.built_grids` is not scanned; every other check runs on
+    every call.
     """
-    if schema is None:
-        return
+    schema, built = model.schema, model.built_grids
     if len(state.internal.values) != schema.internal_dim:
         raise SchemaMismatch(
             f"internal dimension {len(state.internal)} != schema {schema.internal_dim}"
@@ -185,10 +173,10 @@ def check_schema(
     ext = state.external
     _check_pos(ext.agent_pos, schema.rows, schema.cols, "agent_pos")
     tags, ambient = ext.resource_map, ext.ambient_field
-    if checked_grids is None or checked_grids.get(id(tags)) is not tags:
-        _check_grid(tags, schema.rows, schema.cols, "resource_map", checked_grids)
-    if checked_grids is None or checked_grids.get(id(ambient)) is not ambient:
-        _check_grid(ambient, schema.rows, schema.cols, "ambient_field", checked_grids)
+    if built.get(id(tags)) is not tags:
+        _check_grid(tags, schema.rows, schema.cols, "resource_map")
+    if built.get(id(ambient)) is not ambient:
+        _check_grid(ambient, schema.rows, schema.cols, "ambient_field")
 
 
 def internal_update(
@@ -211,7 +199,7 @@ def step_factored(
     rng: np.random.Generator,
 ) -> FactoredState:
     """Advance one step under the fixed blanket-respecting update order."""
-    check_schema(model.schema, state, model.checked_grids)
+    check_schema(model, state)
     b_next = model.f_b(state.internal, state.external, action)
     i_next = internal_update(model, state.internal, state.boundary, state.external, action)
     e_next = model.f_e(state.external, state.boundary, action, rng, state.t + 1)

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, replace as dc_replace
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -144,29 +145,31 @@ def validate_env(env: HomeoGridEnv) -> None:
         raise ConfigError("drive model must be 3-dimensional (energy, hydration, core_temp)")
 
 
-@lru_cache(maxsize=None)
-def _season_tags(grid: GridSpec, season: int) -> tuple[tuple[Tag, ...], ...]:
-    cells = [[Tag.Empty] * grid.cols for _ in range(grid.rows)]
-    for r, c, tag in grid.seasons[season].placements:
-        cells[r][c] = tag
-    return tuple(tuple(row) for row in cells)
+class SeasonGrids(NamedTuple):
+    """One season's resource map, noise-free ambient field, and that field's read-only array."""
+
+    tags: tuple[tuple[Tag, ...], ...]
+    field: tuple[tuple[float, ...], ...]
+    base: np.ndarray
 
 
 @lru_cache(maxsize=None)
-def _season_base_field(grid: GridSpec, season: int) -> tuple[tuple[float, ...], ...]:
-    tags = _season_tags(grid, season)
-    base = grid.seasons[season].baseline
-    return tuple(
-        tuple(base - grid.shade_delta if tags[r][c] == Tag.Shade else base for c in range(grid.cols))
-        for r in range(grid.rows)
-    )
-
-
-@lru_cache(maxsize=None)
-def _season_base_array(grid: GridSpec, season: int) -> np.ndarray:
-    base = np.array(_season_base_field(grid, season), dtype=np.float64)
-    base.flags.writeable = False
-    return base
+def _season_grids(grid: GridSpec) -> tuple[SeasonGrids, ...]:
+    """Every season's grids, built once per grid spec."""
+    table = []
+    for season in grid.seasons:
+        cells = [[Tag.Empty] * grid.cols for _ in range(grid.rows)]
+        for r, c, tag in season.placements:
+            cells[r][c] = tag
+        tags = tuple(tuple(row) for row in cells)
+        shaded = season.baseline - grid.shade_delta
+        field = tuple(
+            tuple(shaded if tag == Tag.Shade else season.baseline for tag in row) for row in tags
+        )
+        base = np.array(field, dtype=np.float64)
+        base.flags.writeable = False
+        table.append(SeasonGrids(tags, field, base))
+    return tuple(table)
 
 
 def _noisy_field(
@@ -183,14 +186,6 @@ def _noisy_field(
     return tuple(map(tuple, (base + noise.clip(-bound, bound)).tolist()))
 
 
-def _ambient_field(
-    grid: GridSpec, season: int, rng: np.random.Generator | BlockStream
-) -> tuple[tuple[float, ...], ...]:
-    if grid.noise_std == 0.0:
-        return _season_base_field(grid, season)
-    return _noisy_field(_season_base_array(grid, season), grid.noise_std, rng)
-
-
 def advance_season(schedule: SeasonSchedule, t: int) -> int:
     """Season index active at step t."""
     return schedule.order[(t // schedule.period) % len(schedule.order)]
@@ -200,25 +195,33 @@ def season_snapshot(
     env: HomeoGridEnv, season: int
 ) -> tuple[tuple[tuple[Tag, ...], ...], tuple[tuple[float, ...], ...]]:
     """Resource map and noise-free ambient field of one season."""
-    return _season_tags(env.grid, season), _season_base_field(env.grid, season)
+    grids = _season_grids(env.grid)[season]
+    return grids.tags, grids.field
+
+
+def _fresh_body(env: HomeoGridEnv, tags, field, season: int, t: int) -> FactoredState:
+    """A body at the set point on the start cell of the given world."""
+    start = env.grid.start
+    return FactoredState(
+        internal=InternalState(tuple(env.drive_model.set_point)),
+        boundary=BoundaryState(
+            sensed_ambient=field[start[0]][start[1]], flux_food=0.0, flux_water=0.0
+        ),
+        external=ExternalState(
+            agent_pos=start, resource_map=tags, ambient_field=field, season=season
+        ),
+        t=t,
+    )
 
 
 def reset(env: HomeoGridEnv, seed: int) -> FactoredState:
     """Initial state: internal at the set point, agent at the start cell, season 0 phase."""
-    rng = stream(seed, 0, "env-reset")
     season = advance_season(env.schedule, 0)
-    field = _ambient_field(env.grid, season, rng)
-    external = ExternalState(
-        agent_pos=env.grid.start,
-        resource_map=_season_tags(env.grid, season),
-        ambient_field=field,
-        season=season,
-    )
-    internal = InternalState(tuple(env.drive_model.set_point))
-    boundary = BoundaryState(
-        sensed_ambient=external.ambient_at(env.grid.start), flux_food=0.0, flux_water=0.0
-    )
-    return FactoredState(internal=internal, boundary=boundary, external=external, t=0)
+    grids = _season_grids(env.grid)[season]
+    field = grids.field
+    if env.grid.noise_std > 0.0:
+        field = _noisy_field(grids.base, env.grid.noise_std, stream(seed, 0, "env-reset"))
+    return _fresh_body(env, grids.tags, field, season, 0)
 
 
 def respawn(env: HomeoGridEnv, state: FactoredState) -> FactoredState:
@@ -227,12 +230,8 @@ def respawn(env: HomeoGridEnv, state: FactoredState) -> FactoredState:
     Seasons keep their phase so a mid-run death cannot shift the schedule
     that later steps (and metrics windows) depend on.
     """
-    internal = InternalState(tuple(env.drive_model.set_point))
-    external = dc_replace(state.external, agent_pos=env.grid.start)
-    boundary = BoundaryState(
-        sensed_ambient=external.ambient_at(env.grid.start), flux_food=0.0, flux_water=0.0
-    )
-    return FactoredState(internal=internal, boundary=boundary, external=external, t=state.t)
+    ext = state.external
+    return _fresh_body(env, ext.resource_map, ext.ambient_field, ext.season, state.t)
 
 
 def transition_maps(env: HomeoGridEnv) -> TransitionModel:
@@ -275,11 +274,8 @@ def transition_maps(env: HomeoGridEnv) -> TransitionModel:
         temp = internal.values[CORE_TEMP]
         return InternalState((energy, hydration, temp_next + lam * (raw - temp)))
 
-    # Bound once so a step neither hashes the grid nor looks a season up.
-    seasons = range(len(grid.seasons))
-    season_tags = tuple(_season_tags(grid, s) for s in seasons)
-    season_fields = tuple(_season_base_field(grid, s) for s in seasons)
-    season_bases = tuple(_season_base_array(grid, s) for s in seasons)
+    # Bound once so a step does not hash the grid spec.
+    season_grids = _season_grids(grid)
     noise_std = grid.noise_std
 
     def f_e(
@@ -297,11 +293,10 @@ def transition_maps(env: HomeoGridEnv) -> TransitionModel:
                 r, c = nr, nc
         season = advance_season(schedule, t_next)
         if noise_std > 0.0:
-            tags = season_tags[season]
-            field = _noisy_field(season_bases[season], noise_std, rng)
+            tags, _, base = season_grids[season]
+            field = _noisy_field(base, noise_std, rng)
         elif season != external.season:
-            tags = season_tags[season]
-            field = season_fields[season]
+            tags, field, _ = season_grids[season]
         elif (r, c) == external.agent_pos:
             return external  # nothing changed, and states are immutable
         else:
@@ -315,8 +310,9 @@ def transition_maps(env: HomeoGridEnv) -> TransitionModel:
         f_b=f_b,
         f_i=f_i,
         f_e=f_e,
-        internal_leak=f_i_leak if lam > 0.0 else None,
         schema=env.schema,
+        internal_leak=f_i_leak if lam > 0.0 else None,
+        built_grids={id(g): g for s in season_grids for g in (s.tags, s.field)},
     )
 
 

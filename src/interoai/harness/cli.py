@@ -15,8 +15,8 @@ from pathlib import Path
 from statistics import mean, median
 
 from ..errors import ConfigError, RuntimeFailure
-from .config import load_config
-from .export import drive_svg_text, read_log_csv, write_text
+from . import config
+from .export import export, read_log_csv
 from .runner import run, sweep, verify_blanket
 
 log = logging.getLogger("interoai")
@@ -61,8 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    episode_log = run(config, args.seed, args.out).log
+    cfg = config.load_config(args.config)
+    episode_log = run(cfg, args.seed, args.out).log
     print(
         f"run seed={args.seed}: {len(episode_log.steps)} steps recorded, "
         f"terminal={episode_log.terminal}"
@@ -71,8 +71,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    table = sweep(config, args.out, jobs=args.jobs)
+    cfg = config.load_config(args.config)
+    table = sweep(cfg, args.out, jobs=args.jobs)
     vf = [r.viability_fraction for r in table.rows]
     print(f"sweep: {len(table.rows)} seeds, median viability_fraction={median(vf):.4f}")
     print(f"metrics written to {Path(args.out) / 'metrics.csv'}")
@@ -80,8 +80,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    report = verify_blanket(config, args.out)
+    cfg = config.load_config(args.config)
+    report = verify_blanket(cfg, args.out)
     print(
         f"factored: cmi={report.factored.cmi_nats:.6g} nats "
         f"({report.factored.verdict.value}), jacobian max={report.factored_jacobian_max}"
@@ -100,6 +100,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     directory = Path(args.in_dir)
+    if not directory.is_dir():
+        raise RuntimeFailure(f"no results directory {directory}")
     metrics_path = directory / "metrics.csv"
     if metrics_path.exists():
         print(metrics_path.read_text(encoding="utf-8").rstrip("\n"))
@@ -109,13 +111,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if logs:
         drives = []
         for path in logs:
-            episode_log = read_log_csv(path)
+            try:
+                episode_log = read_log_csv(path)
+            except ValueError as exc:
+                raise RuntimeFailure(f"malformed log {path}: {exc}") from exc
             if episode_log.steps:
                 drives.append(mean(r.drive for r in episode_log.steps))
             if args.plots:
-                svg_path = path.with_suffix(".svg")
-                write_text(svg_path, drive_svg_text(episode_log))
-                print(f"wrote {svg_path}")
+                print(f"wrote {export(episode_log, path.with_suffix('.svg'))}")
         if drives:
             print(f"{len(logs)} logs, mean drive across seeds: {mean(drives):.6g}")
     return EXIT_OK

@@ -215,6 +215,8 @@ def sweep(config: ExperimentConfig, out_dir: str | None = None, jobs: int = 1) -
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     directory = Path(out_dir if out_dir is not None else config.run.out_dir)
     directory.mkdir(parents=True, exist_ok=True)
+    # A table left by an earlier sweep must not outlive this one's failure.
+    (directory / "metrics.csv").unlink(missing_ok=True)
     seeds = sorted(config.run.seeds)
     run_seed = partial(_run_metrics, config, str(directory))
     jobs = min(jobs, len(seeds))  # a worker beyond one per seed would sit idle

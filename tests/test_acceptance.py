@@ -74,7 +74,8 @@ def _first_resource(agent, env, model, internal, start, cap=40) -> str:
         tag = state.external.tag_at(state.external.agent_pos)
         if tag in (Tag.Food, Tag.Water):
             return tag.name
-        state = step_factored(model, state, agent.greedy_action(state), rng)
+        obs, _, sig = agent._facts(state)
+        state = step_factored(model, state, agent.table_for(sig.context_id).greedy(obs), rng)
     return "none"
 
 

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from interoai import core
 from interoai.core import (
     Action,
     BoundaryState,
@@ -13,7 +14,7 @@ from interoai.core import (
     perturb_external,
     step_factored,
 )
-from interoai.envs import reset, transition_maps
+from interoai.envs import SeasonSchedule, reset, respawn, transition_maps
 from interoai.errors import SchemaMismatch
 from interoai.harness.config import default_config, parse_config
 from interoai.rng import stream
@@ -25,7 +26,10 @@ def test_identity_model_increments_time_only():
     env = make_tiny_env()
     state = reset(env, 0)
     model = TransitionModel(
-        f_b=lambda i, e, a: state.boundary, f_i=lambda i, b, a: i, f_e=lambda e, b, a, rng, t: e
+        f_b=lambda i, e, a: state.boundary,
+        f_i=lambda i, b, a: i,
+        f_e=lambda e, b, a, rng, t: e,
+        schema=env.schema,
     )
     nxt = step_factored(model, state, Action.Rest, stream(0, 0, "env"))
     assert nxt.internal == state.internal
@@ -146,6 +150,47 @@ def test_schema_check_not_fooled_by_an_earlier_valid_step():
     long_field = field + (field[0],)
     with pytest.raises(SchemaMismatch, match="ambient_field"):
         step_factored(model, _with_external(state, ambient_field=long_field), Action.Rest, rng)
+
+
+def _record_grid_scans(monkeypatch) -> list[str]:
+    scanned = []
+    real = core._check_grid
+
+    def spy(grid, rows, cols, what, *rest):
+        scanned.append(what)
+        return real(grid, rows, cols, what, *rest)
+
+    monkeypatch.setattr(core, "_check_grid", spy)
+    return scanned
+
+
+def test_noise_free_world_scans_no_grid_it_built(monkeypatch):
+    # Every grid of a noise-free world comes from the env's season table,
+    # across steps, season switches and a respawn; none needs a scan.
+    env = make_tiny_env(schedule=SeasonSchedule(period=2, order=(0, 1)))
+    model = transition_maps(env)
+    state = reset(env, 0)
+    scanned = _record_grid_scans(monkeypatch)
+    rng = stream(0, 0, "env")
+    state = step_factored(model, state, Action.Rest, rng)
+    assert scanned == []  # the first step too
+    for action in (Action.MoveN, Action.Consume, Action.MoveE, Action.Rest, Action.MoveS):
+        state = step_factored(model, state, action, rng)
+    state = step_factored(model, respawn(env, state), Action.MoveW, rng)
+    assert state.t == 7
+    assert scanned == []
+
+
+def test_noisy_world_scans_only_the_ambient_field_on_each_step(monkeypatch):
+    env = make_tiny_env()
+    env = dataclasses.replace(env, grid=dataclasses.replace(env.grid, noise_std=1.0))
+    model = transition_maps(env)
+    state = reset(env, 0)
+    scanned = _record_grid_scans(monkeypatch)
+    rng = stream(0, 0, "env")
+    for _ in range(12):
+        state = step_factored(model, state, Action.Rest, rng)
+    assert scanned == ["ambient_field"] * 12
 
 
 def test_perturb_external_swaps_only_external():

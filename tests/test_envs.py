@@ -234,14 +234,15 @@ def test_noisy_ambient_field_equals_per_cell_sums_bitwise():
     # double a per-cell Python add of base and clipped noise gives.
     import numpy as np
 
-    from interoai.envs import _ambient_field
+    from interoai.envs import _noisy_field, _season_grids
 
     env = make_tiny_env()
     grid = dataclasses.replace(env.grid, noise_std=3.0)
     for season in range(len(grid.seasons)):
         base = season_snapshot(dataclasses.replace(env, grid=grid), season)[1]
+        table_base = _season_grids(grid)[season].base
         for seed in range(20):
-            field = _ambient_field(grid, season, stream(seed, 0, "field"))
+            field = _noisy_field(table_base, 3.0, stream(seed, 0, "field"))
             noise = stream(seed, 0, "field").normal(0.0, 3.0, size=(grid.rows, grid.cols))
             noise = np.clip(noise, -18.0, 18.0)
             expected = tuple(

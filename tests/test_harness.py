@@ -440,6 +440,29 @@ def test_sweep_rows_plus_summary(quick_cfg, tmp_path):
     assert lines[6].startswith("median,")
 
 
+def test_interrupted_sweep_leaves_no_stale_metrics_table(tmp_path, monkeypatch, capsys):
+    import interoai.harness.runner as runner_mod
+
+    first = parse_config(quick_config_doc(train_steps=0, eval_steps=20, seeds=[0, 1]))
+    sweep(first, str(tmp_path))
+    assert (tmp_path / "metrics.csv").exists()
+    real = runner_mod.execute_run
+
+    def interrupted_at_seed_1(config, seed):
+        if seed == 1:
+            raise KeyboardInterrupt
+        return real(config, seed)
+
+    monkeypatch.setattr(runner_mod, "execute_run", interrupted_at_seed_1)
+    other = parse_config(quick_config_doc(train_steps=0, eval_steps=30, seeds=[0, 1]))
+    with pytest.raises(KeyboardInterrupt):
+        sweep(other, str(tmp_path))
+    assert len(read_log_csv(tmp_path / "log_seed0.csv").steps) == 30
+    assert not (tmp_path / "metrics.csv").exists()
+    assert main(["report", "--in", str(tmp_path)]) == 0
+    assert "no metrics.csv" in capsys.readouterr().out
+
+
 def test_metrics_header_contract():
     assert METRICS_HEADER == (
         "seed,survival_steps,viability_fraction,mean_drive,entropy_satiated,"
@@ -698,6 +721,33 @@ def test_cli_verify_blanket_pass_and_fail(tmp_path):
     rigged["blanket"]["tol_hi"] = 50.0  # nothing can exceed this; coupled verdict fails
     cfg_path = _write_config(tmp_path, rigged)
     assert main(["verify-blanket", "--config", cfg_path, "--out", str(tmp_path / "v2")]) == 3
+
+
+def _assert_one_line_runtime_failure(err: str, *needles: str) -> None:
+    assert err.startswith("runtime failure:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert all(needle in err for needle in needles)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "step,episode\n1,0\n",
+        LOG_HEADER + "\n1,2,3\n",
+        LOG_HEADER + "\n" + ",".join(["x"] * (LOG_HEADER.count(",") + 1)) + "\n",
+    ],
+    ids=["foreign-header", "short-row", "non-numeric-cell"],
+)
+def test_cli_report_rejects_a_malformed_log(tmp_path, capsys, text):
+    (tmp_path / "log_seed0.csv").write_text(text, encoding="utf-8")
+    assert main(["report", "--in", str(tmp_path)]) == 2
+    _assert_one_line_runtime_failure(capsys.readouterr().err, "log_seed0.csv")
+
+
+def test_cli_report_rejects_a_missing_directory(tmp_path, capsys):
+    absent = tmp_path / "absent"
+    assert main(["report", "--in", str(absent)]) == 2
+    _assert_one_line_runtime_failure(capsys.readouterr().err, str(absent))
 
 
 def test_cli_runtime_failure_exit_code(tmp_path, monkeypatch):

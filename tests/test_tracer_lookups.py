@@ -10,7 +10,7 @@ import json
 from pathlib import Path
 
 from interoai import core
-from interoai.harness import config, runner
+from interoai.harness import cli, config, runner
 
 BENCH_TRACE = Path(__file__).resolve().parents[1] / "bench" / "bench_trace.py"
 
@@ -56,3 +56,19 @@ def test_tracer_sees_one_span_per_config_load(tmp_path):
     assert [rec.names[i] for i in rec.name_id] == ["harness.config.load_config"]
     assert loaded == config.parse_config(config.default_config())
     assert config.load_config is original  # uninstalled again
+
+
+def test_tracer_sees_the_cli_load_its_config(tmp_path, quick_doc):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(quick_doc), encoding="utf-8")
+    bench_trace = _load_bench_trace()
+    rec = bench_trace.SpanRecorder()
+    uninstall = bench_trace.install(rec)
+    try:
+        code = cli.main(["run", "--config", str(path), "--seed", "0", "--out", str(tmp_path)])
+    finally:
+        uninstall()
+    assert code == 0
+    names = [rec.names[i] for i in rec.name_id]
+    assert names.count("harness.config.load_config") == 1
+    assert names.count("harness.cli.main") == 1
