@@ -131,9 +131,11 @@ class TransitionModel:
     `internal_leak` replaces `f_i` when set.  The factored build keeps it
     None so the internal update cannot read the external state at all.
 
-    `built_grids` maps `id(grid)` to each grid the env built to fit the
-    schema; `check_schema` trusts exactly those and scans every other grid.
-    Holding the grids keeps their ids from reuse.
+    `built` maps `id(obj)` to each object the env built to fit the schema:
+    every season's grids, and the external state of every cell over them.
+    `check_schema` trusts exactly those objects; it scans every other grid
+    and bounds-checks every other state's cell.  Holding the objects keeps
+    their ids from reuse.
     """
 
     f_b: FBoundary
@@ -141,7 +143,7 @@ class TransitionModel:
     f_e: FExternal
     schema: StateSchema
     internal_leak: Optional[FInternalLeak] = None
-    built_grids: Mapping[int, tuple] = field(default_factory=dict, repr=False, compare=False)
+    built: Mapping[int, object] = field(default_factory=dict, repr=False, compare=False)
 
 
 def _check_grid(grid, rows: int, cols: int, what: str) -> None:
@@ -162,15 +164,17 @@ def _check_pos(pos: tuple[int, int], rows: int, cols: int, what: str) -> None:
 def check_schema(model: TransitionModel, state: FactoredState) -> None:
     """Raise SchemaMismatch unless the state fits the model's schema.
 
-    A grid in `model.built_grids` is not scanned; every other check runs on
-    every call.
+    An external state in `model.built` is trusted whole, and a grid in it
+    is not scanned; every other check runs on every call.
     """
-    schema, built = model.schema, model.built_grids
+    schema, built = model.schema, model.built
     if len(state.internal.values) != schema.internal_dim:
         raise SchemaMismatch(
             f"internal dimension {len(state.internal)} != schema {schema.internal_dim}"
         )
     ext = state.external
+    if built.get(id(ext)) is ext:
+        return
     _check_pos(ext.agent_pos, schema.rows, schema.cols, "agent_pos")
     tags, ambient = ext.resource_map, ext.ambient_field
     if built.get(id(tags)) is not tags:

@@ -27,6 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
+    ACTIONS,
     Action,
     BoundaryState,
     ExternalState,
@@ -146,18 +147,20 @@ def validate_env(env: HomeoGridEnv) -> None:
 
 
 class SeasonGrids(NamedTuple):
-    """One season's resource map, noise-free ambient field, and that field's read-only array."""
+    """One season's resource map, noise-free ambient field, that field's
+    read-only array, and the external state of every cell over those grids."""
 
     tags: tuple[tuple[Tag, ...], ...]
     field: tuple[tuple[float, ...], ...]
     base: np.ndarray
+    states: tuple[tuple[ExternalState, ...], ...]
 
 
 @lru_cache(maxsize=None)
 def _season_grids(grid: GridSpec) -> tuple[SeasonGrids, ...]:
-    """Every season's grids, built once per grid spec."""
+    """Every season's grids and cell states, built once per grid spec."""
     table = []
-    for season in grid.seasons:
+    for s_idx, season in enumerate(grid.seasons):
         cells = [[Tag.Empty] * grid.cols for _ in range(grid.rows)]
         for r, c, tag in season.placements:
             cells[r][c] = tag
@@ -168,7 +171,11 @@ def _season_grids(grid: GridSpec) -> tuple[SeasonGrids, ...]:
         )
         base = np.array(field, dtype=np.float64)
         base.flags.writeable = False
-        table.append(SeasonGrids(tags, field, base))
+        states = tuple(
+            tuple(ExternalState((r, c), tags, field, s_idx) for c in range(grid.cols))
+            for r in range(grid.rows)
+        )
+        table.append(SeasonGrids(tags, field, base, states))
     return tuple(table)
 
 
@@ -200,16 +207,22 @@ def season_snapshot(
 
 
 def _fresh_body(env: HomeoGridEnv, tags, field, season: int, t: int) -> FactoredState:
-    """A body at the set point on the start cell of the given world."""
-    start = env.grid.start
+    """A body at the set point on the start cell of the given world.
+
+    A built season's world starts from the table's own start-cell state.
+    """
+    r, c = env.grid.start
+    table = _season_grids(env.grid)
+    if 0 <= season < len(table) and table[season].field is field and table[season].tags is tags:
+        external = table[season].states[r][c]
+    else:
+        external = ExternalState(
+            agent_pos=(r, c), resource_map=tags, ambient_field=field, season=season
+        )
     return FactoredState(
         internal=InternalState(tuple(env.drive_model.set_point)),
-        boundary=BoundaryState(
-            sensed_ambient=field[start[0]][start[1]], flux_food=0.0, flux_water=0.0
-        ),
-        external=ExternalState(
-            agent_pos=start, resource_map=tags, ambient_field=field, season=season
-        ),
+        boundary=BoundaryState(sensed_ambient=field[r][c], flux_food=0.0, flux_water=0.0),
+        external=external,
         t=t,
     )
 
@@ -241,15 +254,45 @@ def transition_maps(env: HomeoGridEnv) -> TransitionModel:
     c_e, c_h, kappa, lam = env.c_e, env.c_h, env.kappa, env.leak
     schedule = env.schedule
 
-    def f_b(internal: InternalState, external: ExternalState, action: Action) -> BoundaryState:
+    # Bound once so a step does not hash the grid spec.
+    season_grids = _season_grids(grid)
+    noise_std = grid.noise_std
+    consume = Action.Consume
+
+    def moved(pos: tuple[int, int], action: Action) -> tuple[int, int]:
+        step = _MOVES.get(action)
+        if step is not None:
+            r, c = pos[0] + step[0], pos[1] + step[1]
+            if 0 <= r < grid.rows and 0 <= c < grid.cols:
+                return r, c
+        return pos  # no move, or a wall in the way
+
+    def sense(external: ExternalState, consuming: bool) -> BoundaryState:
         pos = external.agent_pos
         tag = external.tag_at(pos)
-        consume = action == Action.Consume
         return BoundaryState(
             sensed_ambient=external.ambient_at(pos),
-            flux_food=e_gain if consume and tag == Tag.Food else 0.0,
-            flux_water=w_gain if consume and tag == Tag.Water else 0.0,
+            flux_food=e_gain if consuming and tag == Tag.Food else 0.0,
+            flux_water=w_gain if consuming and tag == Tag.Water else 0.0,
         )
+
+    # id(table state) -> (that state, its boundary without and with
+    # consumption, its successor within its season after each action)
+    cells = {}
+    for grids in season_grids:
+        for row in grids.states:
+            for ext in row:
+                nexts = [moved(ext.agent_pos, a) for a in ACTIONS]
+                successors = tuple([grids.states[r][c] for r, c in nexts])
+                cells[id(ext)] = (ext, sense(ext, False), sense(ext, True), successors)
+    built = {id(g): g for s in season_grids for g in (s.tags, s.field)}
+    built.update((key, cell[0]) for key, cell in cells.items())
+
+    def f_b(internal: InternalState, external: ExternalState, action: Action) -> BoundaryState:
+        cell = cells.get(id(external))
+        if cell is not None and cell[0] is external:
+            return cell[2] if action == consume else cell[1]
+        return sense(external, action == consume)
 
     def f_i(internal: InternalState, boundary: BoundaryState, action: Action) -> InternalState:
         energy, hydration, temp = internal.values
@@ -274,10 +317,6 @@ def transition_maps(env: HomeoGridEnv) -> TransitionModel:
         temp = internal.values[CORE_TEMP]
         return InternalState((energy, hydration, temp_next + lam * (raw - temp)))
 
-    # Bound once so a step does not hash the grid spec.
-    season_grids = _season_grids(grid)
-    noise_std = grid.noise_std
-
     def f_e(
         external: ExternalState,
         boundary: BoundaryState,
@@ -285,26 +324,26 @@ def transition_maps(env: HomeoGridEnv) -> TransitionModel:
         rng: np.random.Generator | BlockStream,
         t_next: int,
     ) -> ExternalState:
-        r, c = external.agent_pos
-        move = _MOVES.get(action)
-        if move is not None:
-            nr, nc = r + move[0], c + move[1]
-            if 0 <= nr < grid.rows and 0 <= nc < grid.cols:
-                r, c = nr, nc
         season = advance_season(schedule, t_next)
         if noise_std > 0.0:
-            tags, _, base = season_grids[season]
-            field = _noisy_field(base, noise_std, rng)
-        elif season != external.season:
-            tags, field, _ = season_grids[season]
-        elif (r, c) == external.agent_pos:
+            grids = season_grids[season]
+            field = _noisy_field(grids.base, noise_std, rng)
+            return ExternalState(moved(external.agent_pos, action), grids.tags, field, season)
+        cell = cells.get(id(external))
+        if cell is not None and cell[0] is external:  # a table state steps to table states
+            nxt = cell[3][action]
+            if season == external.season:
+                return nxt
+            r, c = nxt.agent_pos
+            return season_grids[season].states[r][c]
+        pos = moved(external.agent_pos, action)
+        if season != external.season:
+            tags, field = season_grids[season].tags, season_grids[season].field
+        elif pos == external.agent_pos:
             return external  # nothing changed, and states are immutable
         else:
-            tags = external.resource_map
-            field = external.ambient_field
-        return ExternalState(
-            agent_pos=(r, c), resource_map=tags, ambient_field=field, season=season
-        )
+            tags, field = external.resource_map, external.ambient_field
+        return ExternalState(agent_pos=pos, resource_map=tags, ambient_field=field, season=season)
 
     return TransitionModel(
         f_b=f_b,
@@ -312,7 +351,7 @@ def transition_maps(env: HomeoGridEnv) -> TransitionModel:
         f_e=f_e,
         schema=env.schema,
         internal_leak=f_i_leak if lam > 0.0 else None,
-        built_grids={id(g): g for s in season_grids for g in (s.tags, s.field)},
+        built=built,
     )
 
 

@@ -88,7 +88,6 @@ def execute_run(config: ExperimentConfig, seed: int) -> RunResult:
     tracker = SurvivalTracker(dm.grace_steps)
     records: list[StepRecord] = []
     episode = 0
-    prev_drive = drive_of(state)
     record_from = config.run.train_steps
     total = record_from + config.run.eval_steps
     status = Status.Alive
@@ -99,10 +98,10 @@ def execute_run(config: ExperimentConfig, seed: int) -> RunResult:
             sig = agent.last_signals
             nxt = step_factored(model, state, action, rng_env)
             agent.learn(state, action, nxt)
-            d_next = drive_of(nxt)
             ok = in_viability(dm, nxt.internal)
             status = tracker.update(ok)
             if step >= record_from:
+                d_next = drive_of(nxt)
                 pos = nxt.external.agent_pos
                 energy, hydration, core_temp = nxt.internal.values
                 records.append(
@@ -117,7 +116,7 @@ def execute_run(config: ExperimentConfig, seed: int) -> RunResult:
                         hydration=hydration,
                         core_temp=core_temp,
                         action=action.name,
-                        reward=prev_drive - d_next,
+                        reward=drive_of(state) - d_next,
                         drive=d_next,
                         in_viability=ok,
                         tau=sig.temperature if sig is not None else None,
@@ -128,9 +127,7 @@ def execute_run(config: ExperimentConfig, seed: int) -> RunResult:
                 episode += 1
                 nxt = respawn(env, nxt)
                 tracker.reset()
-                d_next = drive_of(nxt)
             state = nxt
-            prev_drive = d_next
     except ConfigError:
         raise
     except Exception as exc:
@@ -195,6 +192,9 @@ def run(config: ExperimentConfig, seed: int, out_dir: str | None = None) -> RunR
     result = execute_run(config, seed)
     directory = Path(out_dir if out_dir is not None else config.run.out_dir)
     directory.mkdir(parents=True, exist_ok=True)
+    # A table left by an earlier sweep would no longer describe this log;
+    # a sweep writes its own table only after its last run.
+    (directory / "metrics.csv").unlink(missing_ok=True)
     export(result.log, directory / f"log_seed{seed}.csv")
     log.info("run seed=%d finished: %d steps, terminal=%s", seed, len(result.log.steps), result.log.terminal)
     return result
@@ -215,8 +215,6 @@ def sweep(config: ExperimentConfig, out_dir: str | None = None, jobs: int = 1) -
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     directory = Path(out_dir if out_dir is not None else config.run.out_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    # A table left by an earlier sweep must not outlive this one's failure.
-    (directory / "metrics.csv").unlink(missing_ok=True)
     seeds = sorted(config.run.seeds)
     run_seed = partial(_run_metrics, config, str(directory))
     jobs = min(jobs, len(seeds))  # a worker beyond one per seed would sit idle

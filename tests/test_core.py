@@ -238,3 +238,30 @@ def test_blanket_invariance_under_external_swap():
                 references = nxt.internal
             else:
                 assert nxt.internal == references
+
+
+def test_a_table_state_is_trusted_whole_and_a_copy_is_checked(monkeypatch):
+    env = make_tiny_env()
+    model = transition_maps(env)
+    state = reset(env, 0)
+    checked = []
+    real = core._check_pos
+
+    def spy(pos, *rest):
+        checked.append(pos)
+        return real(pos, *rest)
+
+    monkeypatch.setattr(core, "_check_pos", spy)
+    scanned = _record_grid_scans(monkeypatch)
+    core.check_schema(model, state)
+    assert checked == [] and scanned == []
+    core.check_schema(model, _with_external(state))  # equal values, not the table's object
+    assert checked == [(1, 1)] and scanned == []  # its grids are still the built ones
+
+
+def test_a_table_state_of_another_world_is_checked():
+    # The 3x3 world's own start state, stepped in a 7x7 model.
+    small = reset(make_tiny_env(), 0)
+    big_model = transition_maps(parse_config(default_config()).env)
+    with pytest.raises(SchemaMismatch, match="resource_map"):
+        step_factored(big_model, small, Action.Rest, stream(0, 0, "env"))

@@ -269,3 +269,70 @@ def test_noise_free_step_in_place_returns_the_same_external_state():
     late = dataclasses.replace(state, t=env.schedule.period - 1)
     switched = step_factored(model, late, Action.Rest, rng)
     assert switched.external.season != state.external.season
+
+
+def _table_states(env):
+    from interoai.envs import _season_grids
+
+    return [g.states for g in _season_grids(env.grid)]
+
+
+def test_noise_free_world_hands_out_its_table_states():
+    # reset, moves, a consumption, a season switch and a respawn all return
+    # the objects the env built once, not fresh equal-valued copies.
+    env = make_tiny_env(schedule=SeasonSchedule(period=3, order=(0, 1)))
+    states = _table_states(env)
+    model = transition_maps(env)
+    rng = stream(0, 0, "env")
+    state = reset(env, 0)
+    assert state.external is states[0][1][1]
+    west = step_factored(model, state, Action.MoveW, rng)
+    assert west.external is states[0][1][0]
+    north = step_factored(model, west, Action.MoveN, rng)
+    assert north.external is states[0][0][0]  # the season-0 food cell
+    assert north.boundary is model.f_b(west.internal, west.external, Action.Rest)
+    eaten = step_factored(model, north, Action.Consume, rng)  # t = 3: season 1 begins
+    assert eaten.boundary is model.f_b(north.internal, north.external, Action.Consume)
+    assert eaten.boundary == BoundaryState(37.0, env.e_gain, 0.0)
+    assert eaten.external is states[1][0][0]
+    assert respawn(env, eaten).external is states[1][1][1]
+
+
+def test_an_equal_valued_copy_of_a_table_state_takes_the_general_path():
+    env = make_tiny_env()
+    model = transition_maps(env)
+    state = reset(env, 0)
+    table_state = state.external
+    tags = tuple(tuple(list(row)) for row in table_state.resource_map)
+    field = tuple(tuple(list(row)) for row in table_state.ambient_field)
+    rng = stream(0, 0, "env")
+    for copy in (
+        dataclasses.replace(table_state),
+        dataclasses.replace(table_state, resource_map=tags, ambient_field=field),
+    ):
+        assert copy == table_state and copy is not table_state
+        for action in Action:
+            expected = model.f_b(state.internal, table_state, action)
+            got = model.f_b(state.internal, copy, action)
+            assert got == expected and got is not expected
+        moved = model.f_e(copy, state.boundary, Action.MoveN, rng, 1)
+        assert moved == model.f_e(table_state, state.boundary, Action.MoveN, rng, 1)
+        assert moved.resource_map is copy.resource_map
+        assert moved.ambient_field is copy.ambient_field
+        assert all(moved is not s for season in _table_states(env) for row in season for s in row)
+
+
+def test_a_noisy_world_never_hands_out_a_table_state():
+    env = make_tiny_env(schedule=SeasonSchedule(period=4, order=(0, 1)))
+    env = dataclasses.replace(env, grid=dataclasses.replace(env.grid, noise_std=1.0))
+    table_ids = {id(s) for season in _table_states(env) for row in season for s in row}
+    model = transition_maps(env)
+    rng = stream(0, 0, "env")
+    state = reset(env, 0)
+    seen = [state.external]
+    for action in [Action.MoveN, Action.Consume, Action.MoveE, Action.Rest, Action.MoveS] * 3:
+        state = step_factored(model, state, action, rng)
+        seen.append(state.external)
+    seen.append(respawn(env, state).external)
+    assert {s.season for s in seen} == {0, 1}
+    assert not any(id(s) in table_ids for s in seen)

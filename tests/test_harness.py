@@ -423,6 +423,24 @@ def test_rewards_telescope_within_episodes(quick_cfg):
         assert abs(total - expected) < 1e-9
 
 
+def test_random_run_computes_the_drive_only_for_recorded_steps(monkeypatch):
+    import interoai.harness.runner as runner_mod
+
+    doc = quick_config_doc(train_steps=600, eval_steps=50, seeds=[0])
+    doc["agent"]["kind"] = "Random"
+    calls = [0]
+    real = runner_mod.drive
+
+    def counted(dm, h):
+        calls[0] += 1
+        return real(dm, h)
+
+    monkeypatch.setattr(runner_mod, "drive", counted)
+    log = execute_run(parse_config(doc), 0).log
+    assert len(log.steps) == 50
+    assert 0 < calls[0] <= 2 * 50
+
+
 # ---------------------------------------------------------------------------
 # Sweeps
 # ---------------------------------------------------------------------------
@@ -461,6 +479,16 @@ def test_interrupted_sweep_leaves_no_stale_metrics_table(tmp_path, monkeypatch, 
     assert not (tmp_path / "metrics.csv").exists()
     assert main(["report", "--in", str(tmp_path)]) == 0
     assert "no metrics.csv" in capsys.readouterr().out
+
+
+def test_run_after_a_sweep_leaves_no_stale_metrics_table(tmp_path, capsys):
+    sweep(parse_config(quick_config_doc(train_steps=0, eval_steps=20, seeds=[0, 1])), str(tmp_path))
+    assert (tmp_path / "metrics.csv").exists()
+    run(parse_config(quick_config_doc(train_steps=0, eval_steps=50, seeds=[0])), 0, str(tmp_path))
+    assert len(read_log_csv(tmp_path / "log_seed0.csv").steps) == 50
+    assert not (tmp_path / "metrics.csv").exists()
+    assert main(["report", "--in", str(tmp_path)]) == 0
+    assert f"no metrics.csv in {tmp_path}" in capsys.readouterr().out
 
 
 def test_metrics_header_contract():

@@ -72,3 +72,21 @@ def test_tracer_sees_the_cli_load_its_config(tmp_path, quick_doc):
     names = [rec.names[i] for i in rec.name_id]
     assert names.count("harness.config.load_config") == 1
     assert names.count("harness.cli.main") == 1
+
+
+def test_tracer_sees_the_maps_of_every_step(quick_cfg):
+    # A step must reach f_b and f_e through the traced model, even when the
+    # state it steps is one the env built in advance.
+    bench_trace = _load_bench_trace()
+    rec = bench_trace.SpanRecorder()
+    uninstall = bench_trace.install(rec)
+    try:
+        runner.execute_run(quick_cfg, 0)
+    finally:
+        uninstall()
+    steps = quick_cfg.run.train_steps + quick_cfg.run.eval_steps
+    names = [rec.names[i] for i in rec.name_id]
+    assert names.count("core.step_factored") == steps
+    assert names.count("envs.f_b") == steps
+    assert names.count("envs.f_i") == steps
+    assert names.count("envs.f_e") == steps
