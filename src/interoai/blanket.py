@@ -27,10 +27,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
-from operator import mul
 from typing import Callable, Mapping
 
 import numpy as np
@@ -39,7 +37,6 @@ from .agents import Discretizer
 from .core import (
     ACTIONS,
     Action,
-    BoundaryState,
     ExternalState,
     FactoredState,
     InternalState,
@@ -51,6 +48,7 @@ from .core import (
 from .envs import GridSpec, HomeoGridEnv, Status, SurvivalTracker, respawn, reset, transition_maps
 from .errors import ConfigError, EmptyDataset, NegativeWeight, NonFiniteValue
 from .homeostat import in_viability
+from . import rng
 from .rng import BlockStream, stream
 
 Policy = Callable[[FactoredState, BlockStream], Action]
@@ -67,32 +65,35 @@ class BlanketSymbolizer:
     below its radix, so two states get one code exactly when their symbols
     agree:
 
-    * internal: one digit per dimension, the `bisect_right` bin over the
-      discretizer's edges for it (radix `len(edges) + 1`);
-    * boundary: the discretizer's `ambient_bin` of the sensed ambient
-      temperature (core-temperature edges, same units, as in the agents'
-      observation key), then one bit per ingestion flux channel; a flux
-      takes one of two exact levels, so zero versus non-zero captures it
-      losslessly;
+    * internal: one digit per dimension, the bin over the discretizer's
+      edges for it (radix `len(edges) + 1`);
+    * boundary: the bin of the sensed ambient temperature over the
+      discretizer's `ambient_edges` (core-temperature edges, same units, as
+      in the agents' observation key), then one bit per ingestion flux
+      channel; a flux takes one of two exact levels, so zero versus non-zero
+      captures it losslessly;
     * external: row, column, the tag under the agent (radix `len(Tag)`)
       and the season index;
     * conditioner z = (i, b, a): the internal code, the boundary code, then
       the action.
 
+    Each method codes a whole column of facts at once with numpy; a bin is
+    `searchsorted(side="right")`, the same rule as `bisect_right`.
+
     Raises ConfigError if a code space does not fit in int64.
     """
 
-    __slots__ = ("_edges", "_places", "_ambient_bin", "_cols", "_seasons", "_boundary_size")
+    __slots__ = ("_edges", "_places", "_ambient_edges", "_cols", "_seasons", "_boundary_size")
 
     def __init__(self, discretizer: Discretizer, grid: GridSpec):
         edges = discretizer.internal_edges
         radices = [len(e) + 1 for e in edges]
-        self._edges = edges
+        self._edges = tuple(np.array(e, dtype=np.float64) for e in edges)
         self._places = tuple(math.prod(radices[k + 1 :]) for k in range(len(radices)))
-        self._ambient_bin = discretizer.ambient_bin
+        self._ambient_edges = np.array(discretizer.ambient_edges, dtype=np.float64)
         self._cols = grid.cols
         self._seasons = len(grid.seasons)
-        self._boundary_size = (len(edges[-1]) + 1) * 2 * 2
+        self._boundary_size = (len(self._ambient_edges) + 1) * 2 * 2
         internal_size = math.prod(radices)
         external_size = grid.rows * grid.cols * len(Tag) * self._seasons
         conditioner_size = internal_size * self._boundary_size * len(ACTIONS)
@@ -100,22 +101,28 @@ class BlanketSymbolizer:
         if size > 2**63:
             raise ConfigError(f"blanket symbols need {size} codes, more than int64 holds")
 
-    def internal_code(self, internal: InternalState) -> int:
-        return sum(map(mul, self._places, map(bisect_right, self._edges, internal.values)))
+    def internal_codes(self, values: np.ndarray) -> np.ndarray:
+        """Codes of internal states, one per row of `values` (a column per dimension)."""
+        codes = np.zeros(len(values), dtype=np.int64)
+        for k, (edges, place) in enumerate(zip(self._edges, self._places)):
+            codes += np.searchsorted(edges, values[:, k], side="right") * place
+        return codes
 
-    def boundary_code(self, boundary: BoundaryState) -> int:
-        ambient = self._ambient_bin(boundary.sensed_ambient)
-        food = 0 if boundary.flux_food == 0.0 else 1
-        water = 0 if boundary.flux_water == 0.0 else 1
-        return (ambient * 2 + food) * 2 + water
+    def boundary_codes(
+        self, sensed_ambient: np.ndarray, flux_food: np.ndarray, flux_water: np.ndarray
+    ) -> np.ndarray:
+        ambient = np.searchsorted(self._ambient_edges, sensed_ambient, side="right")
+        return (ambient * 2 + (flux_food != 0.0)) * 2 + (flux_water != 0.0)
 
-    def external_code(self, external: ExternalState) -> int:
-        r, c = external.agent_pos
-        tag = external.resource_map[r][c]
-        return ((r * self._cols + c) * len(Tag) + tag) * self._seasons + external.season
+    def external_codes(
+        self, rows: np.ndarray, cols: np.ndarray, tags: np.ndarray, seasons: np.ndarray
+    ) -> np.ndarray:
+        return ((rows * self._cols + cols) * len(Tag) + tags) * self._seasons + seasons
 
-    def conditioner_code(self, internal_code: int, boundary_code: int, action: Action) -> int:
-        return (internal_code * self._boundary_size + boundary_code) * len(ACTIONS) + int(action)
+    def conditioner_codes(
+        self, internal_codes: np.ndarray, boundary_codes: np.ndarray, actions: np.ndarray
+    ) -> np.ndarray:
+        return (internal_codes * self._boundary_size + boundary_codes) * len(ACTIONS) + actions
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,12 +145,6 @@ class TransitionDataset:
         return len(self.x)
 
 
-def _frozen_codes(codes: array) -> np.ndarray:
-    out = np.frombuffer(codes, dtype=np.int64)
-    out.setflags(write=False)
-    return out
-
-
 def collect_transitions(
     env: HomeoGridEnv,
     policy: Policy,
@@ -155,6 +156,12 @@ def collect_transitions(
 
     The policy draws from a `BlockStream`, so it must make one kind of draw
     with the same arguments every time, as `uniform_random_policy` does.
+
+    Each step only appends its raw facts to flat buffers; every `rng.BLOCK`
+    steps `BlanketSymbolizer` codes the buffered block with numpy and the
+    buffers start again, so they never outgrow one block.  The code of
+    i_{t+1} is the next step's i_t, unless a respawn replaced the body in
+    between, so every internal state is binned once.
     """
     if steps < 1:
         raise ConfigError("steps must be >= 1")
@@ -163,39 +170,63 @@ def collect_transitions(
         raise ConfigError(f"{dims} internal values vs {len(discretizer.internal_edges)} edge sets")
     sym = BlanketSymbolizer(discretizer, env.grid)
     model = transition_maps(env)
-    internal_code = sym.internal_code
-    boundary_code = sym.boundary_code
-    external_code = sym.external_code
-    conditioner_code = sym.conditioner_code
     rng_env = BlockStream(seed, 0, "blanket-env")
     rng_policy = BlockStream(seed, 0, "blanket-policy")
     state = reset(env, seed)
     tracker = SurvivalTracker(env.drive_model.grace_steps)
     dm = env.drive_model
 
-    xs, ys, zs = array("q"), array("q"), array("q")
+    x, y, z = (np.empty(steps, dtype=np.int64) for _ in range(3))
     counts: dict[tuple[int, int, int], float] = {}
-    # The code of i_{t+1} is the next record's i_t, unless a respawn
-    # replaces the body in between.
-    i_code = internal_code(state.internal)
-    for _ in range(steps):
-        action = policy(state, rng_policy)
-        nxt = step_factored(model, state, action, rng_env)
-        x = internal_code(nxt.internal)
-        y = external_code(state.external)
-        z = conditioner_code(i_code, boundary_code(state.boundary), action)
-        xs.append(x)
-        ys.append(y)
-        zs.append(z)
-        key = (x, y, z)
-        counts[key] = counts.get(key, 0.0) + 1.0
-        if tracker.update(in_viability(dm, nxt.internal)) is Status.Dead:
-            nxt = respawn(env, nxt)
-            tracker.reset()
-            x = internal_code(nxt.internal)
-        state = nxt
-        i_code = x
-    return TransitionDataset(_frozen_codes(xs), _frozen_codes(ys), _frozen_codes(zs), counts)
+    count = counts.get
+    i_code = 0  # the code of the last i_{t+1}; the first block starts with a fresh body
+    fresh = True  # the state's body was not reached by a step: reset or respawned
+    block = rng.BLOCK
+    for start in range(0, steps, block):
+        n = min(block, steps - start)
+        nexts = array("d")  # i_{t+1}, `dims` values a step
+        sensed = array("d")  # b_t: sensed ambient, food flux, water flux
+        facts = array("q")  # e_t: row, column, tag under the agent, season; then a_t
+        fresh_rows = array("q")  # steps whose i_t is a fresh body, and its values:
+        bodies = array("d")
+        for k in range(n):
+            if fresh:
+                fresh_rows.append(k)
+                bodies.extend(state.internal.values)
+                fresh = False
+            action = policy(state, rng_policy)
+            nxt = step_factored(model, state, action, rng_env)
+            b, ext = state.boundary, state.external
+            r, c = ext.agent_pos
+            sensed.extend((b.sensed_ambient, b.flux_food, b.flux_water))
+            facts.extend((r, c, ext.resource_map[r][c], ext.season, action))
+            nexts.extend(nxt.internal.values)
+            if tracker.update(in_viability(dm, nxt.internal)) is Status.Dead:
+                nxt = respawn(env, nxt)
+                tracker.reset()
+                fresh = True
+            state = nxt
+
+        nexts.extend(bodies)
+        i_codes = sym.internal_codes(np.frombuffer(nexts).reshape(-1, dims))
+        xb = i_codes[:n]
+        ib = np.empty(n, dtype=np.int64)
+        ib[0] = i_code
+        ib[1:] = xb[:-1]
+        ib[np.frombuffer(fresh_rows, dtype=np.int64)] = i_codes[n:]
+        i_code = xb[-1]
+        b_cols = np.frombuffer(sensed).reshape(n, 3).T
+        e_cols = np.frombuffer(facts, dtype=np.int64).reshape(n, 5).T
+        yb = sym.external_codes(*e_cols[:4])
+        zb = sym.conditioner_codes(ib, sym.boundary_codes(*b_cols), e_cols[4])
+        x[start : start + n] = xb
+        y[start : start + n] = yb
+        z[start : start + n] = zb
+        for key in zip(xb.tolist(), yb.tolist(), zb.tolist()):
+            counts[key] = count(key, 0.0) + 1.0
+    for codes in (x, y, z):
+        codes.setflags(write=False)
+    return TransitionDataset(x, y, z, counts)
 
 
 class CmiVerdict(Enum):

@@ -179,18 +179,38 @@ def _season_grids(grid: GridSpec) -> tuple[SeasonGrids, ...]:
     return tuple(table)
 
 
+class _NoisyFields:
+    """The noisy ambient fields over a block of normal draws, one per row.
+
+    The block is clipped once, so a pathological draw cannot push a field
+    to +-inf downstream.  A season's base is added to the whole clipped
+    block the first time that season asks: one IEEE double add per cell,
+    exactly as a per-cell Python add would do, so a row is bitwise the field
+    built from that row's draw alone.
+    """
+
+    __slots__ = ("noise", "_clipped", "_fields")
+
+    def __init__(self, noise: np.ndarray, noise_std: float):
+        bound = 6.0 * noise_std
+        self.noise = noise
+        self._clipped = noise.clip(-bound, bound)
+        self._fields: dict[int, np.ndarray] = {}
+
+    def field(self, season: int, base: np.ndarray, row: int) -> tuple[tuple[float, ...], ...]:
+        """Row `row`'s field over `base`, the base of season `season`."""
+        fields = self._fields.get(season)
+        if fields is None:
+            fields = self._fields[season] = base + self._clipped
+        return tuple(map(tuple, fields[row].tolist()))
+
+
 def _noisy_field(
     base: np.ndarray, noise_std: float, rng: np.random.Generator | BlockStream
 ) -> tuple[tuple[float, ...], ...]:
-    """`base` plus one clipped normal draw per cell.
-
-    Clip so a pathological draw cannot push the field to +-inf downstream;
-    then one IEEE double add per cell, exactly as a per-cell Python add
-    would do.
-    """
+    """`base` plus one clipped normal draw per cell."""
     noise = rng.normal(0.0, noise_std, size=base.shape)
-    bound = 6.0 * noise_std
-    return tuple(map(tuple, (base + noise.clip(-bound, bound)).tolist()))
+    return _NoisyFields(noise[np.newaxis], noise_std).field(0, base, 0)
 
 
 def advance_season(schedule: SeasonSchedule, t: int) -> int:
@@ -198,11 +218,26 @@ def advance_season(schedule: SeasonSchedule, t: int) -> int:
     return schedule.order[(t // schedule.period) % len(schedule.order)]
 
 
+# The grid spec asked for last and its table, so that asking again (every
+# respawn does) costs an identity check instead of hashing the spec.
+_last_table: tuple[GridSpec | None, tuple[SeasonGrids, ...]] = (None, ())
+
+
+def _table(grid: GridSpec) -> tuple[SeasonGrids, ...]:
+    """`_season_grids(grid)`, found without hashing a spec asked for last."""
+    global _last_table
+    last, table = _last_table
+    if last is not grid:
+        table = _season_grids(grid)
+        _last_table = (grid, table)
+    return table
+
+
 def season_snapshot(
     env: HomeoGridEnv, season: int
 ) -> tuple[tuple[tuple[Tag, ...], ...], tuple[tuple[float, ...], ...]]:
     """Resource map and noise-free ambient field of one season."""
-    grids = _season_grids(env.grid)[season]
+    grids = _table(env.grid)[season]
     return grids.tags, grids.field
 
 
@@ -212,7 +247,7 @@ def _fresh_body(env: HomeoGridEnv, tags, field, season: int, t: int) -> Factored
     A built season's world starts from the table's own start-cell state.
     """
     r, c = env.grid.start
-    table = _season_grids(env.grid)
+    table = _table(env.grid)
     if 0 <= season < len(table) and table[season].field is field and table[season].tags is tags:
         external = table[season].states[r][c]
     else:
@@ -230,7 +265,7 @@ def _fresh_body(env: HomeoGridEnv, tags, field, season: int, t: int) -> Factored
 def reset(env: HomeoGridEnv, seed: int) -> FactoredState:
     """Initial state: internal at the set point, agent at the start cell, season 0 phase."""
     season = advance_season(env.schedule, 0)
-    grids = _season_grids(env.grid)[season]
+    grids = _table(env.grid)[season]
     field = grids.field
     if env.grid.noise_std > 0.0:
         field = _noisy_field(grids.base, env.grid.noise_std, stream(seed, 0, "env-reset"))
@@ -255,9 +290,13 @@ def transition_maps(env: HomeoGridEnv) -> TransitionModel:
     schedule = env.schedule
 
     # Bound once so a step does not hash the grid spec.
-    season_grids = _season_grids(grid)
+    season_grids = _table(grid)
     noise_std = grid.noise_std
+    shape = season_grids[0].base.shape
     consume = Action.Consume
+    # The fields of the block stream's current block, built on its first
+    # draw; a draw from any other block replaces them.
+    noisy: list[_NoisyFields | None] = [None]
 
     def moved(pos: tuple[int, int], action: Action) -> tuple[int, int]:
         step = _MOVES.get(action)
@@ -327,7 +366,16 @@ def transition_maps(env: HomeoGridEnv) -> TransitionModel:
         season = advance_season(schedule, t_next)
         if noise_std > 0.0:
             grids = season_grids[season]
-            field = _noisy_field(grids.base, noise_std, rng)
+            if isinstance(rng, BlockStream):
+                block, row = rng.normal_block(0.0, noise_std, shape)
+                fields = noisy[0]
+                if fields is None or fields.noise is not block:
+                    fields = noisy[0] = _NoisyFields(block, noise_std)
+                field = fields.field(season, grids.base, row)
+                if row == len(block) - 1:
+                    noisy[0] = None  # the block is used up: free its fields before the next is drawn
+            else:
+                field = _noisy_field(grids.base, noise_std, rng)
             return ExternalState(moved(external.agent_pos, action), grids.tags, field, season)
         cell = cells.get(id(external))
         if cell is not None and cell[0] is external:  # a table state steps to table states

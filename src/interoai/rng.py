@@ -40,7 +40,10 @@ class BlockStream:
     Offers `random()`, `integers(low, high)` and `normal(loc, scale, size)`
     with the values that the same calls on a plain generator return: a
     Python float, a Python int, and a read-only view into the block.
-    The first draw fixes the call; any other call raises `StreamMisuse`.
+    `normal_block` takes the same normal draw but hands out the whole block
+    and the draw's index, so a caller can do its per-draw numpy work once
+    per block.  The first draw fixes the call; any other call raises
+    `StreamMisuse`.
     """
 
     __slots__ = ("_gen", "_call", "_block", "_next")
@@ -60,7 +63,20 @@ class BlockStream:
     def normal(self, loc: float, scale: float, size: tuple[int, ...]) -> np.ndarray:
         return self._take(("normal", loc, scale, size))
 
+    def normal_block(self, loc: float, scale: float, size: tuple[int, ...]) -> tuple[np.ndarray, int]:
+        """Take the draw `normal(loc, scale, size)` would return, as the
+        read-only block of shape `(BLOCK, *size)` it sits in and its index
+        there.  Locked like `normal`, so the two calls may be mixed.
+        """
+        i = self._advance(("normal", loc, scale, size))
+        return self._block, i
+
     def _take(self, call: tuple):
+        i = self._advance(call)  # may draw a new block
+        return self._block[i]
+
+    def _advance(self, call: tuple) -> int:
+        """Check `call` against the lock and return the index of its draw."""
         if call != self._call:
             if self._call is not None:
                 raise StreamMisuse(f"stream locked to {self._call}, asked for {call}")
@@ -70,7 +86,7 @@ class BlockStream:
             self._block = self._draw(call)
             i = 0
         self._next = i + 1
-        return self._block[i]
+        return i
 
     def _draw(self, call: tuple):
         kind, *args = call

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -82,7 +83,10 @@ def test_ambient_bin_is_the_key_and_blanket_ambient_feature():
         assert expected == internal_bins(DISC, (0.0, 0.0, sensed))[-1]
         assert DISC.key(probe)[5] == expected  # after row, col, tag and the two flux bits
         # The ambient bin is the boundary code's leading digit, above the two flux bits.
-        assert BlanketSymbolizer(DISC, env.grid).boundary_code(probe.boundary) // 4 == expected
+        code = BlanketSymbolizer(DISC, env.grid).boundary_codes(
+            np.array([sensed]), np.array([b.flux_food]), np.array([b.flux_water])
+        )
+        assert code.tolist() == [expected * 4]
 
 
 def test_softmax_symmetric_and_argmax_limit():

@@ -35,6 +35,7 @@ from interoai.envs import (
 from interoai.errors import ConfigError, EmptyDataset, NegativeWeight, NonFiniteValue
 from interoai.harness.config import default_config, parse_config
 from interoai.homeostat import DriveModel
+from interoai.rng import BLOCK
 
 from helpers import make_tiny_env
 from oracles import BlanketTupleEncoder, brute_force_cmi, entropy_from_counts, two_cell_joint
@@ -299,40 +300,76 @@ def _encoder(env, disc) -> BlanketTupleEncoder:
     return BlanketTupleEncoder(disc.internal_edges, g.rows, g.cols, len(Tag), len(g.seasons), len(ACTIONS))
 
 
-@pytest.mark.parametrize("coupled", [False, True])
-def test_collect_symbolizes_each_internal_state_once(monkeypatch, coupled):
+def _reference_dataset(env, steps, seed, disc):
+    """x, y, z and the counts in first-seen order, coded from the reference tuples."""
+    transitions, tuple_counts = _collect_symbolizing_every_state_twice(env, steps, seed, disc)
+    enc = _encoder(env, disc)
+    return (
+        [enc.internal(t[4]) for t in transitions],
+        [enc.external(t[2]) for t in transitions],
+        [enc.conditioner(t[0], t[1], t[3]) for t in transitions],
+        [((enc.internal(x), enc.external(y), enc.conditioner(*z)), c) for (x, y, z), c in tuple_counts.items()],
+    )
+
+
+def _collect_counted(monkeypatch, env, steps, seed, disc):
+    """Collect, counting the internal-state rows the array coder bins and
+    recording the clock of every respawned state."""
     import interoai.blanket as blanket_mod
 
+    calls = {"binned": 0, "respawned_at": []}
+    internal_codes, respawn = BlanketSymbolizer.internal_codes, blanket_mod.respawn
+
+    def counted_internal_codes(self, values):
+        calls["binned"] += len(values)
+        return internal_codes(self, values)
+
+    def counted_respawn(env_, state):
+        calls["respawned_at"].append(state.t)
+        return respawn(env_, state)
+
+    monkeypatch.setattr(BlanketSymbolizer, "internal_codes", counted_internal_codes)
+    monkeypatch.setattr(blanket_mod, "respawn", counted_respawn)
+    return collect_transitions(env, uniform_random_policy, steps, seed, disc), calls
+
+
+def _assert_reference(ds, env, steps, seed, disc):
+    x, y, z, counts = _reference_dataset(env, steps, seed, disc)
+    assert ds.x.tolist() == x
+    assert ds.y.tolist() == y
+    assert ds.z.tolist() == z
+    assert list(ds.counts.items()) == counts  # first-seen order too
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+def test_collect_symbolizes_each_internal_state_once(monkeypatch, coupled):
+    # Past two blocks, ending inside a third.
+    env = make_coupled_variant(ci_env(), 0.2) if coupled else ci_env()
+    disc = ci_discretizer()
+    steps = 2 * BLOCK + 37
+    ds, calls = _collect_counted(monkeypatch, env, steps, 3, disc)
+    respawns = len(calls["respawned_at"])
+    assert respawns > 0
+    assert steps < calls["binned"] <= steps + 1 + respawns
+    _assert_reference(ds, env, steps, 3, disc)
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+def test_collect_equals_the_reference_over_small_blocks(monkeypatch, coupled):
+    # Blocks of 7 steps, in the streams' draws as in the symbolization, put
+    # block edges everywhere: between a step and its successor's i_t, and
+    # between a respawn and the fresh body's first step.
+    import interoai.rng as rng_mod
+
+    monkeypatch.setattr(rng_mod, "BLOCK", 7)
     env = make_coupled_variant(ci_env(), 0.2) if coupled else ci_env()
     disc = ci_discretizer()
     steps = 600
-    transitions, tuple_counts = _collect_symbolizing_every_state_twice(env, steps, 3, disc)
-    enc = _encoder(env, disc)
-    expected_counts = {
-        (enc.internal(x), enc.external(y), enc.conditioner(*z)): c
-        for (x, y, z), c in tuple_counts.items()
-    }
-
-    calls = {"bins": 0, "respawn": 0}
-    internal_code, respawn = BlanketSymbolizer.internal_code, blanket_mod.respawn
-
-    def counted_internal_code(self, internal):
-        calls["bins"] += 1
-        return internal_code(self, internal)
-
-    def counted_respawn(*args):
-        calls["respawn"] += 1
-        return respawn(*args)
-
-    monkeypatch.setattr(BlanketSymbolizer, "internal_code", counted_internal_code)
-    monkeypatch.setattr(blanket_mod, "respawn", counted_respawn)
-    ds = collect_transitions(env, uniform_random_policy, steps, 3, disc)
-    assert calls["respawn"] > 0
-    assert steps < calls["bins"] <= steps + 1 + calls["respawn"]
-    assert ds.x.tolist() == [enc.internal(t[4]) for t in transitions]
-    assert ds.y.tolist() == [enc.external(t[2]) for t in transitions]
-    assert ds.z.tolist() == [enc.conditioner(t[0], t[1], t[3]) for t in transitions]
-    assert list(ds.counts.items()) == list(expected_counts.items())  # first-seen order too
+    ds, calls = _collect_counted(monkeypatch, env, steps, 3, disc)
+    respawns = len(calls["respawned_at"])
+    assert any(t % 7 == 0 for t in calls["respawned_at"])  # on a block's last step
+    assert steps < calls["binned"] <= steps + 1 + respawns
+    _assert_reference(ds, env, steps, 3, disc)
 
 
 def test_dataset_codes_are_read_only_int64():
@@ -365,7 +402,8 @@ def test_symbolizer_rejects_code_spaces_beyond_int64():
 _EDGE_SET = st.lists(st.integers(-20, 20), min_size=1, max_size=5, unique=True).map(
     lambda ks: tuple(float(k) for k in sorted(ks))
 )
-_VALUE = st.integers(-44, 44).map(lambda k: k / 2)  # on, between and beyond the edges
+# On, between and beyond the edges, and at either infinity.
+_VALUE = st.one_of(st.integers(-44, 44).map(lambda k: k / 2), st.sampled_from((-math.inf, math.inf)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -386,7 +424,7 @@ def test_codes_are_the_tuple_encoding_and_injective(edges, rows, cols, n_seasons
     tag_rows = st.lists(st.sampled_from(list(Tag)), min_size=cols, max_size=cols).map(tuple)
     tags = data.draw(st.lists(tag_rows, min_size=rows, max_size=rows).map(tuple))
     flux = st.sampled_from((0.0, 0.25))
-    pairs = []  # (symbol tuple, code) of every kind, tagged by kind
+    states, actions = [], []
     for _ in range(30):
         values = tuple(data.draw(_VALUE) for _ in edges)
         boundary = BoundaryState(data.draw(_VALUE), data.draw(flux), data.draw(flux))
@@ -396,13 +434,25 @@ def test_codes_are_the_tuple_encoding_and_injective(edges, rows, cols, n_seasons
             ambient_field=(),
             season=data.draw(st.integers(0, n_seasons - 1)),
         )
-        action = data.draw(st.sampled_from(ACTIONS))
-        state = FactoredState(InternalState(values), boundary, external, t=0)
+        actions.append(data.draw(st.sampled_from(ACTIONS)))
+        states.append(FactoredState(InternalState(values), boundary, external, t=0))
+
+    # The array coder, fed one column per fact, as the collector feeds it.
+    i_codes = sym.internal_codes(np.array([s.internal.values for s in states]))
+    b_codes = sym.boundary_codes(
+        *np.array([(s.boundary.sensed_ambient, s.boundary.flux_food, s.boundary.flux_water) for s in states]).T
+    )
+    e_parts = [(*s.external.agent_pos, s.external.tag_at(s.external.agent_pos), s.external.season) for s in states]
+    e_codes = sym.external_codes(*np.array(e_parts, dtype=np.int64).T)
+    z_codes = sym.conditioner_codes(i_codes, b_codes, np.array(actions, dtype=np.int64))
+    for codes in (i_codes, b_codes, e_codes, z_codes):
+        assert codes.dtype == np.int64 and codes.shape == (len(states),)
+
+    pairs = []  # (symbol tuple, code) of every kind, tagged by kind
+    for state, action, i_code, b_code, e_code, z_code in zip(
+        states, actions, i_codes.tolist(), b_codes.tolist(), e_codes.tolist(), z_codes.tolist()
+    ):
         i_sym, b_sym, e_sym = _symbols(disc, state)
-        i_code = sym.internal_code(state.internal)
-        b_code = sym.boundary_code(boundary)
-        e_code = sym.external_code(external)
-        z_code = sym.conditioner_code(i_code, b_code, action)
         assert i_code == enc.internal(i_sym)
         assert b_code == enc.boundary(b_sym)
         assert e_code == enc.external(e_sym)
@@ -435,3 +485,23 @@ def test_collect_retains_under_3_mib_at_20k_steps():
         tracemalloc.stop()
     assert len(ds) == 20_000
     assert retained < 3 * 2**20
+
+
+@pytest.mark.parametrize("steps", [20_000, 100_000])
+def test_collect_transient_memory_stays_under_1_mib(steps):
+    # Raw facts are buffered and symbolized a block at a time, and a noisy
+    # field block is freed once used up, so what a collection holds beyond
+    # its result does not grow with `steps`.
+    settings_ = parse_config(default_config()).blanket
+    env, disc = settings_.env, settings_.discretizer
+    collect_transitions(env, uniform_random_policy, 100, 0, disc)  # fill the env's caches first
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ds = collect_transitions(env, uniform_random_policy, steps, settings_.seed, disc)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ds) == steps
+    assert peak - retained < 2**20

@@ -255,6 +255,51 @@ def test_noisy_ambient_field_equals_per_cell_sums_bitwise():
             ]
 
 
+def test_noisy_fields_built_per_block_equal_per_step_fields_bitwise():
+    # f_e fed by a block stream builds a block's fields at once; each must be
+    # the very field `_noisy_field` builds from the same draw of a plain
+    # stream.  A period of 300 switches season inside the blocks.
+    from interoai.envs import _noisy_field, _season_grids
+    from interoai.rng import BLOCK, BlockStream
+
+    env = make_tiny_env(schedule=SeasonSchedule(period=300, order=(0, 1)))
+    env = dataclasses.replace(env, grid=dataclasses.replace(env.grid, noise_std=3.0))
+    bases = [g.base for g in _season_grids(env.grid)]
+    model = transition_maps(env)
+    blocked, plain = BlockStream(5, 0, "blanket-env"), stream(5, 0, "blanket-env")
+    state = reset(env, 0)
+    external = state.external
+    seasons_per_block = {}
+    for t in range(1, 2 * BLOCK + 100):
+        external = model.f_e(external, state.boundary, Action.MoveE if t % 2 else Action.MoveW, blocked, t)
+        assert external.season == advance_season(env.schedule, t)
+        seasons_per_block.setdefault((t - 1) // BLOCK, set()).add(external.season)
+        expected = _noisy_field(bases[external.season], 3.0, plain)
+        assert all(type(v) is float for row in external.ambient_field for v in row)
+        assert [[v.hex() for v in row] for row in external.ambient_field] == [
+            [v.hex() for v in row] for row in expected
+        ]
+    assert len(seasons_per_block) == 3
+    assert all(seasons == {0, 1} for seasons in seasons_per_block.values())
+
+
+def test_respawn_does_not_hash_the_grid_spec(monkeypatch):
+    from interoai.envs import GridSpec
+
+    env = make_tiny_env()
+    noisy = dataclasses.replace(env, grid=dataclasses.replace(env.grid, noise_std=1.0))
+    for world in (env, noisy):
+        state = step_factored(transition_maps(world), reset(world, 0), Action.MoveN, stream(0, 0, "env"))
+        respawn(world, state)
+        hashed = []
+        grid_hash = GridSpec.__hash__
+        monkeypatch.setattr(GridSpec, "__hash__", lambda self: hashed.append(self) or grid_hash(self))
+        for _ in range(20):
+            respawn(world, state)
+        monkeypatch.undo()
+        assert hashed == []
+
+
 def test_noise_free_step_in_place_returns_the_same_external_state():
     env = make_tiny_env()
     model = transition_maps(env)

@@ -46,6 +46,31 @@ def test_block_normal_fields_equal_single_draws_bitwise(scale, size):
         assert got.tobytes() == want.tobytes()
 
 
+def test_normal_block_hands_out_the_block_and_index_of_each_draw():
+    blocked = BlockStream(4, 0, "blanket-env")
+    single = stream(4, 0, "blanket-env")
+    blocks = []  # each distinct block, kept alive so identities stay unique
+    for n in range(DRAWS):
+        # normal_block and normal share one lock and one sequence of draws.
+        if n % 3:
+            block, i = blocked.normal_block(0.0, 0.5, (5, 5))
+            assert block.shape == (BLOCK, 5, 5) and not block.flags.writeable
+            assert i == n % BLOCK
+            got = block[i]
+            if not any(block is b for b in blocks):
+                blocks.append(block)
+        else:
+            got = blocked.normal(0.0, 0.5, (5, 5))
+        assert got.tobytes() == single.normal(0.0, 0.5, size=(5, 5)).tobytes()
+    assert len(blocks) == 3
+    with pytest.raises(StreamMisuse):
+        blocked.normal_block(0.0, 0.4, (5, 5))
+    s = BlockStream(0, 0, "agent")
+    s.random()
+    with pytest.raises(StreamMisuse):
+        s.normal_block(0.0, 0.5, (5, 5))
+
+
 def test_block_stream_rejects_a_second_kind_of_draw():
     s = BlockStream(0, 0, "agent")
     s.random()
