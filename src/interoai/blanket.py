@@ -33,14 +33,13 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .agents import Discretizer
+from .agents import TAG_CODES, Discretizer, cell_code
 from .core import (
     ACTIONS,
     Action,
     ExternalState,
     FactoredState,
     InternalState,
-    Tag,
     TransitionModel,
     internal_update,
     step_factored,
@@ -58,82 +57,22 @@ def uniform_random_policy(state: FactoredState, rng: np.random.Generator | Block
     return ACTIONS[int(rng.integers(0, len(ACTIONS)))]
 
 
-class BlanketSymbolizer:
-    """Exact integer codes for the (i, b, e, a) components the CI test uses.
-
-    Every code is a mixed-radix integer whose digits are symbols, each
-    below its radix, so two states get one code exactly when their symbols
-    agree:
-
-    * internal: one digit per dimension, the bin over the discretizer's
-      edges for it (radix `len(edges) + 1`);
-    * boundary: the bin of the sensed ambient temperature over the
-      discretizer's `ambient_edges` (core-temperature edges, same units, as
-      in the agents' observation key), then one bit per ingestion flux
-      channel; a flux takes one of two exact levels, so zero versus non-zero
-      captures it losslessly;
-    * external: row, column, the tag under the agent (radix `len(Tag)`)
-      and the season index;
-    * conditioner z = (i, b, a): the internal code, the boundary code, then
-      the action.
-
-    Each method codes a whole column of facts at once with numpy; a bin is
-    `searchsorted(side="right")`, the same rule as `bisect_right`.
-
-    Raises ConfigError if a code space does not fit in int64.
-    """
-
-    __slots__ = ("_edges", "_places", "_ambient_edges", "_cols", "_seasons", "_boundary_size")
-
-    def __init__(self, discretizer: Discretizer, grid: GridSpec):
-        edges = discretizer.internal_edges
-        radices = [len(e) + 1 for e in edges]
-        self._edges = tuple(np.array(e, dtype=np.float64) for e in edges)
-        self._places = tuple(math.prod(radices[k + 1 :]) for k in range(len(radices)))
-        self._ambient_edges = np.array(discretizer.ambient_edges, dtype=np.float64)
-        self._cols = grid.cols
-        self._seasons = len(grid.seasons)
-        self._boundary_size = (len(self._ambient_edges) + 1) * 2 * 2
-        internal_size = math.prod(radices)
-        external_size = grid.rows * grid.cols * len(Tag) * self._seasons
-        conditioner_size = internal_size * self._boundary_size * len(ACTIONS)
-        size = max(external_size, conditioner_size)
-        if size > 2**63:
-            raise ConfigError(f"blanket symbols need {size} codes, more than int64 holds")
-
-    def internal_codes(self, values: np.ndarray) -> np.ndarray:
-        """Codes of internal states, one per row of `values` (a column per dimension)."""
-        codes = np.zeros(len(values), dtype=np.int64)
-        for k, (edges, place) in enumerate(zip(self._edges, self._places)):
-            codes += np.searchsorted(edges, values[:, k], side="right") * place
-        return codes
-
-    def boundary_codes(
-        self, sensed_ambient: np.ndarray, flux_food: np.ndarray, flux_water: np.ndarray
-    ) -> np.ndarray:
-        ambient = np.searchsorted(self._ambient_edges, sensed_ambient, side="right")
-        return (ambient * 2 + (flux_food != 0.0)) * 2 + (flux_water != 0.0)
-
-    def external_codes(
-        self, rows: np.ndarray, cols: np.ndarray, tags: np.ndarray, seasons: np.ndarray
-    ) -> np.ndarray:
-        return ((rows * self._cols + cols) * len(Tag) + tags) * self._seasons + seasons
-
-    def conditioner_codes(
-        self, internal_codes: np.ndarray, boundary_codes: np.ndarray, actions: np.ndarray
-    ) -> np.ndarray:
-        return (internal_codes * self._boundary_size + boundary_codes) * len(ACTIONS) + actions
+def blanket_codes(discretizer: Discretizer, grid: GridSpec, i, b, row, col, tag, season, action):
+    """(y, z) of one transition or of columns of them: y is e_t, its cell above
+    its season; z is the internal code, the boundary code, then the action."""
+    y = cell_code(row, col, tag, grid.cols) * len(grid.seasons) + season
+    return y, (i * discretizer.boundary_size + b) * len(ACTIONS) + action
 
 
 @dataclass(frozen=True, eq=False)
 class TransitionDataset:
     """Integer-coded transitions plus the joint counts table.
 
-    Transition t has x[t], the code of i_{t+1}; y[t], the code of e_t; and
-    z[t], the code of the conditioner (i_t, b_t, a_t), each from
-    `BlanketSymbolizer`, in read-only int64 arrays.  `counts` maps each
-    distinct (x, y, z) to its number of transitions, in the order the keys
-    were first seen; weights sum to the number of transitions.
+    Transition t has x[t], the internal code of i_{t+1}, and y[t] and z[t],
+    the `blanket_codes` of e_t and of (i_t, b_t, a_t), in read-only int64
+    arrays.  `counts` maps each distinct (x, y, z) to its number of
+    transitions, in the order the keys were first seen; weights sum to the
+    number of transitions.
     """
 
     x: np.ndarray
@@ -158,17 +97,23 @@ def collect_transitions(
     with the same arguments every time, as `uniform_random_policy` does.
 
     Each step only appends its raw facts to flat buffers; every `rng.BLOCK`
-    steps `BlanketSymbolizer` codes the buffered block with numpy and the
+    steps the discretizer's array forms code the buffered block and the
     buffers start again, so they never outgrow one block.  The code of
     i_{t+1} is the next step's i_t, unless a respawn replaced the body in
     between, so every internal state is binned once.
     """
     if steps < 1:
         raise ConfigError("steps must be >= 1")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    g, d = env.grid, discretizer
+    tops = (d.internal_size, d.boundary_size, g.rows, g.cols, TAG_CODES, len(g.seasons), len(ACTIONS))
+    size = max(blanket_codes(d, g, *(top - 1 for top in tops))) + 1  # every digit at its top
+    if size > 2**63:
+        raise ConfigError(f"blanket symbols need {size} codes, more than int64 holds")
     dims = len(env.drive_model.set_point)
-    if len(discretizer.internal_edges) != dims:
-        raise ConfigError(f"{dims} internal values vs {len(discretizer.internal_edges)} edge sets")
-    sym = BlanketSymbolizer(discretizer, env.grid)
+    if len(d.internal_edges) != dims:
+        raise ConfigError(f"{dims} internal values vs {len(d.internal_edges)} edge sets")
     model = transition_maps(env)
     rng_env = BlockStream(seed, 0, "blanket-env")
     rng_policy = BlockStream(seed, 0, "blanket-policy")
@@ -208,7 +153,7 @@ def collect_transitions(
             state = nxt
 
         nexts.extend(bodies)
-        i_codes = sym.internal_codes(np.frombuffer(nexts).reshape(-1, dims))
+        i_codes = d.internal_codes(np.frombuffer(nexts).reshape(-1, dims))
         xb = i_codes[:n]
         ib = np.empty(n, dtype=np.int64)
         ib[0] = i_code
@@ -217,8 +162,7 @@ def collect_transitions(
         i_code = xb[-1]
         b_cols = np.frombuffer(sensed).reshape(n, 3).T
         e_cols = np.frombuffer(facts, dtype=np.int64).reshape(n, 5).T
-        yb = sym.external_codes(*e_cols[:4])
-        zb = sym.conditioner_codes(ib, sym.boundary_codes(*b_cols), e_cols[4])
+        yb, zb = blanket_codes(d, g, ib, d.boundary_codes(*b_cols), *e_cols)
         x[start : start + n] = xb
         y[start : start + n] = yb
         z[start : start + n] = zb

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
-from interoai.core import Tag
+import math
+
+from hypothesis import strategies as st
+
+from interoai.core import BoundaryState, ExternalState, FactoredState, InternalState, Tag
 from interoai.envs import GridSpec, HomeoGridEnv, SeasonSchedule, SeasonSpec
 from interoai.homeostat import DriveModel
 
@@ -49,7 +53,6 @@ def make_tiny_env(**overrides) -> HomeoGridEnv:
 
 def all_external_states(env: HomeoGridEnv):
     """Every schema-valid external state of `env`: season layouts x positions."""
-    from interoai.core import ExternalState
     from interoai.envs import season_snapshot
 
     out = []
@@ -63,3 +66,29 @@ def all_external_states(env: HomeoGridEnv):
                     )
                 )
     return out
+
+
+# Bin edge sets, and values on, between and beyond their edges and at either infinity.
+EDGE_SETS = st.lists(st.integers(-20, 20), min_size=1, max_size=5, unique=True).map(
+    lambda ks: tuple(float(k) for k in sorted(ks))
+)
+VALUES = st.one_of(st.integers(-44, 44).map(lambda k: k / 2), st.sampled_from((-math.inf, math.inf)))
+
+
+def draw_states(data, dims: int, rows: int, cols: int, n_seasons: int, count: int = 30) -> list:
+    """`count` states on one drawn tag map: any cell and season, `VALUES`, fluxes 0 or 0.25."""
+    tag_rows = st.lists(st.sampled_from(list(Tag)), min_size=cols, max_size=cols).map(tuple)
+    tags = data.draw(st.lists(tag_rows, min_size=rows, max_size=rows).map(tuple))
+    flux = st.sampled_from((0.0, 0.25))
+    states = []
+    for _ in range(count):
+        values = tuple(data.draw(VALUES) for _ in range(dims))
+        boundary = BoundaryState(data.draw(VALUES), data.draw(flux), data.draw(flux))
+        external = ExternalState(
+            agent_pos=(data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))),
+            resource_map=tags,
+            ambient_field=(),
+            season=data.draw(st.integers(0, n_seasons - 1)),
+        )
+        states.append(FactoredState(InternalState(values), boundary, external, t=0))
+    return states

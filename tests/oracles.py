@@ -2,13 +2,14 @@
 
 Nothing here shares code with the package paths under test: conditional
 mutual information is computed from explicit conditional-probability
-tables, and optimal action values come from value iteration over an
-enumerated MDP.
+tables, optimal action values come from value iteration over an
+enumerated MDP, and symbols are tuples binned with `bisect_right`.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from itertools import product
 
 
@@ -60,6 +61,27 @@ def mixed_radix_code(digits: tuple[int, ...], radices: tuple[int, ...]) -> int:
             raise ValueError(f"digit {digit} outside radix {radix}")
         code = code * radix + digit
     return code
+
+
+def observation_tuple(disc, state) -> tuple:
+    """The agent's observation of `state` under `disc` as a tuple of symbols.
+
+    Row, column, the tag under the agent, the season (only when
+    `disc.season_visible`), a bit per flux channel (non-zero or not), the
+    sensed-ambient bin over the last edge set (only when `disc.sense_ambient`),
+    then one bin per internal dimension: the count of its edges at or below
+    the value.
+    """
+    ext, b = state.external, state.boundary
+    r, c = ext.agent_pos
+    symbols = [r, c, int(ext.resource_map[r][c])]
+    if disc.season_visible:
+        symbols.append(ext.season)
+    symbols += [int(b.flux_food != 0.0), int(b.flux_water != 0.0)]
+    if disc.sense_ambient:
+        symbols.append(bisect_right(disc.internal_edges[-1], b.sensed_ambient))
+    symbols += [bisect_right(edges, v) for edges, v in zip(disc.internal_edges, state.internal.values)]
+    return tuple(symbols)
 
 
 class BlanketTupleEncoder:

@@ -1,11 +1,13 @@
 """Discretization, softmax selection, TD updates, neuromodulation, gating."""
 
 import dataclasses
+import itertools
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interoai.agents import (
@@ -19,22 +21,28 @@ from interoai.agents import (
     q_update,
     softmax_probs,
 )
-from interoai.blanket import BlanketSymbolizer
-from interoai.core import ACTIONS, Action, InternalState
+from interoai.core import ACTIONS, Action, InternalState, Tag
 from interoai.envs import reset
 from interoai.errors import ConfigError, NonFiniteValue
 from interoai.homeostat import DriveModel, drive
 from interoai.rng import stream
 
-from helpers import TINY_DRIVE, make_tiny_env
+from helpers import EDGE_SETS, TINY_DRIVE, draw_states, make_tiny_env
+from oracles import mixed_radix_code, observation_tuple
 
 DISC = Discretizer(internal_edges=((0.3, 0.5), (0.3, 0.5), (36.0, 38.5, 40.0)))
 
 
 def internal_bins(disc: Discretizer, values: tuple[float, ...]) -> tuple:
-    """The internal bins that end `disc.key` for a state with these internal values."""
+    """The oracle's internal bins of a state with these internal values.
+
+    They must also be the lowest digits of `disc.key`.
+    """
     state = dataclasses.replace(reset(make_tiny_env(), 0), internal=InternalState(values))
-    return disc.key(state)[-len(values):]
+    bins = observation_tuple(disc, state)[-len(values):]
+    radices = tuple(len(edges) + 1 for edges in disc.internal_edges)
+    assert disc.key(state) % math.prod(radices) == mixed_radix_code(bins, radices)
+    return bins
 
 
 def test_discretize_deterministic_and_binned():
@@ -60,6 +68,12 @@ def test_every_real_maps_to_exactly_one_bin(v):
     assert 0 <= b <= len(edges)
 
 
+def test_discretizer_rejects_no_edge_sets():
+    # The ambient bin reads the last edge set, so there must be one.
+    with pytest.raises(ConfigError, match="edge set"):
+        Discretizer(internal_edges=())
+
+
 def test_discretizer_rejects_unsorted_edges():
     with pytest.raises(ConfigError):
         Discretizer(internal_edges=((0.5, 0.3),))
@@ -77,16 +91,81 @@ def test_ambient_bin_is_the_key_and_blanket_ambient_feature():
     env = make_tiny_env()
     state = reset(env, 0)
     b = state.boundary
+    assert b.flux_food == b.flux_water == 0.0
+    radices = tuple(len(edges) + 1 for edges in DISC.internal_edges)
     for sensed in (30.0, 36.0, 38.0, 38.5, 45.0):
         probe = dataclasses.replace(state, boundary=dataclasses.replace(b, sensed_ambient=sensed))
-        expected = DISC.ambient_bin(sensed)
-        assert expected == internal_bins(DISC, (0.0, 0.0, sensed))[-1]
-        assert DISC.key(probe)[5] == expected  # after row, col, tag and the two flux bits
-        # The ambient bin is the boundary code's leading digit, above the two flux bits.
-        code = BlanketSymbolizer(DISC, env.grid).boundary_codes(
-            np.array([sensed]), np.array([b.flux_food]), np.array([b.flux_water])
-        )
+        expected = observation_tuple(DISC, probe)[5]  # after row, col, tag and the two flux bits
+        assert expected == internal_bins(DISC, (0.0, 0.0, sensed))[-1]  # core temperature's edges
+        # In the key, the ambient bin sits above the two flux bits and the internal bins.
+        assert DISC.key(probe) // (4 * math.prod(radices)) % radices[-1] == expected
+        # It is the boundary code's leading digit, above the two flux bits.
+        code = DISC.boundary_codes(np.array([sensed]), np.array([b.flux_food]), np.array([b.flux_water]))
         assert code.tolist() == [expected * 4]
+
+
+def _lowest_in_bin(edges, v):
+    """The lowest value of `v`'s bin: the edge at its bottom, or -inf below the first edge."""
+    k = bisect_right(edges, v)
+    return edges[k - 1] if k else -math.inf
+
+
+def _same_observation(disc, state, n_seasons):
+    """Another state the agent must not tell apart from `state`.
+
+    Every binned value moves to the lowest value of its bin, each flux to
+    twice itself, and what the key does not see (the season, or the sensed
+    ambient) changes.
+    """
+    b, ext = state.boundary, state.external
+    edges = disc.internal_edges
+    sensed = _lowest_in_bin(edges[-1], b.sensed_ambient) if disc.sense_ambient else -b.sensed_ambient
+    season = ext.season if disc.season_visible else (ext.season + 1) % n_seasons
+    return dataclasses.replace(
+        state,
+        internal=InternalState(tuple(map(_lowest_in_bin, edges, state.internal.values))),
+        boundary=dataclasses.replace(b, sensed_ambient=sensed, flux_food=2 * b.flux_food, flux_water=2 * b.flux_water),
+        external=dataclasses.replace(ext, season=season),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    edges=st.lists(EDGE_SETS, min_size=1, max_size=4),
+    rows=st.integers(1, 6),
+    cols=st.integers(1, 6),
+    n_seasons=st.integers(1, 3),
+    season_visible=st.booleans(),
+    sense_ambient=st.booleans(),
+    data=st.data(),
+)
+def test_key_is_the_observation_tuple_as_an_int(edges, rows, cols, n_seasons, season_visible, sense_ambient, data):
+    disc = Discretizer(internal_edges=tuple(edges), season_visible=season_visible, sense_ambient=sense_ambient)
+    drawn = draw_states(data, len(edges), rows, cols, n_seasons)
+    twins = [_same_observation(disc, s, n_seasons) for s in drawn]
+    for state, twin in zip(drawn, twins):
+        assert observation_tuple(disc, twin) == observation_tuple(disc, state)
+    pairs = []  # (key, oracle tuple)
+    for state in drawn + twins:
+        key = disc.key(state)
+        assert type(key) is int and key >= 0
+        pairs.append((key, observation_tuple(disc, state)))
+    keys = {key for key, _ in pairs}
+    tuples = {symbols for _, symbols in pairs}
+    assert len(keys) == len(tuples) == len(set(pairs))  # same key <=> same tuple
+
+    # external_features is a bijection of (row, col, tag[, season]): over
+    # every cell, tag and season, on grids of one tag.
+    features = set()  # (symbols, code)
+    for tag in Tag:
+        tags = ((tag,) * cols,) * rows
+        ext = dataclasses.replace(drawn[0].external, resource_map=tags)
+        for r, c, season in itertools.product(range(rows), range(cols), range(n_seasons)):
+            probe = dataclasses.replace(drawn[0], external=dataclasses.replace(ext, agent_pos=(r, c), season=season))
+            code = disc.external_features(probe)
+            assert type(code) is int and code >= 0
+            features.add(((r, c, int(tag)) + ((season,) if season_visible else ()), code))
+    assert len({s for s, _ in features}) == len({code for _, code in features}) == len(features)
 
 
 def test_softmax_symmetric_and_argmax_limit():

@@ -1,5 +1,6 @@
 """CMI estimator against the enumeration oracle; Jacobian block checks."""
 
+import dataclasses
 import math
 import statistics
 import tracemalloc
@@ -12,16 +13,16 @@ from hypothesis import strategies as st
 
 from interoai.agents import Discretizer
 from interoai.blanket import (
-    BlanketSymbolizer,
     CmiVerdict,
     TransitionDataset,
+    blanket_codes,
     cmi_from_counts,
     collect_transitions,
     conditional_mi,
     jacobian_sparsity,
     uniform_random_policy,
 )
-from interoai.core import ACTIONS, Action, BoundaryState, ExternalState, FactoredState, InternalState, Tag
+from interoai.core import ACTIONS, Action, Tag
 from interoai.envs import (
     CORE_TEMP,
     GridSpec,
@@ -37,7 +38,7 @@ from interoai.harness.config import default_config, parse_config
 from interoai.homeostat import DriveModel
 from interoai.rng import BLOCK
 
-from helpers import make_tiny_env
+from helpers import EDGE_SETS, draw_states, make_tiny_env
 from oracles import BlanketTupleEncoder, brute_force_cmi, entropy_from_counts, two_cell_joint
 
 
@@ -79,6 +80,16 @@ def ci_env(**overrides) -> HomeoGridEnv:
     )
     fields.update(overrides)
     return HomeoGridEnv(**fields)
+
+
+def wide_seasonal_env() -> HomeoGridEnv:
+    """`ci_env` on a 4 x 6 grid whose two seasons alternate every 37 steps."""
+    seasons = (
+        SeasonSpec(baseline=40.0, placements=((0, 0, Tag.Food), (3, 5, Tag.Water), (0, 5, Tag.Shade))),
+        SeasonSpec(baseline=30.0, placements=((3, 1, Tag.Food), (0, 4, Tag.Water), (2, 3, Tag.Shade))),
+    )
+    grid = dataclasses.replace(ci_env().grid, rows=4, cols=6, start=(1, 2), seasons=seasons)
+    return ci_env(grid=grid, schedule=SeasonSchedule(period=37, order=(0, 1)))
 
 
 def ci_discretizer() -> Discretizer:
@@ -318,7 +329,7 @@ def _collect_counted(monkeypatch, env, steps, seed, disc):
     import interoai.blanket as blanket_mod
 
     calls = {"binned": 0, "respawned_at": []}
-    internal_codes, respawn = BlanketSymbolizer.internal_codes, blanket_mod.respawn
+    internal_codes, respawn = Discretizer.internal_codes, blanket_mod.respawn
 
     def counted_internal_codes(self, values):
         calls["binned"] += len(values)
@@ -328,7 +339,7 @@ def _collect_counted(monkeypatch, env, steps, seed, disc):
         calls["respawned_at"].append(state.t)
         return respawn(env_, state)
 
-    monkeypatch.setattr(BlanketSymbolizer, "internal_codes", counted_internal_codes)
+    monkeypatch.setattr(Discretizer, "internal_codes", counted_internal_codes)
     monkeypatch.setattr(blanket_mod, "respawn", counted_respawn)
     return collect_transitions(env, uniform_random_policy, steps, seed, disc), calls
 
@@ -341,16 +352,27 @@ def _assert_reference(ds, env, steps, seed, disc):
     assert list(ds.counts.items()) == counts  # first-seen order too
 
 
-@pytest.mark.parametrize("coupled", [False, True])
-def test_collect_symbolizes_each_internal_state_once(monkeypatch, coupled):
+@pytest.mark.parametrize(
+    "make_env, coupled",
+    [
+        pytest.param(ci_env, False, id="False"),
+        pytest.param(ci_env, True, id="True"),
+        # rows != cols and two seasons: y's column radix and season digit show.
+        pytest.param(wide_seasonal_env, False, id="wide-False"),
+        pytest.param(wide_seasonal_env, True, id="wide-True"),
+    ],
+)
+def test_collect_symbolizes_each_internal_state_once(monkeypatch, make_env, coupled):
     # Past two blocks, ending inside a third.
-    env = make_coupled_variant(ci_env(), 0.2) if coupled else ci_env()
+    env = make_coupled_variant(make_env(), 0.2) if coupled else make_env()
     disc = ci_discretizer()
     steps = 2 * BLOCK + 37
     ds, calls = _collect_counted(monkeypatch, env, steps, 3, disc)
     respawns = len(calls["respawned_at"])
     assert respawns > 0
     assert steps < calls["binned"] <= steps + 1 + respawns
+    n_seasons = len(env.grid.seasons)
+    assert set((ds.y % n_seasons).tolist()) == set(range(n_seasons))  # every season, y's lowest digit
     _assert_reference(ds, env, steps, 3, disc)
 
 
@@ -386,29 +408,50 @@ def test_collect_rejects_discretizer_of_other_dimension():
         collect_transitions(ci_env(), uniform_random_policy, 10, 0, disc)
 
 
-def test_symbolizer_rejects_code_spaces_beyond_int64():
-    disc = Discretizer(internal_edges=((0.0,),))
-    season = SeasonSpec(baseline=40.0, placements=())
+@pytest.mark.parametrize("seed", [-1, -(2**40)])
+def test_collect_rejects_a_negative_seed_before_any_step(monkeypatch, seed):
+    import interoai.blanket as blanket_mod
+
+    def no_step(*args):
+        raise AssertionError("stepped")
+
+    monkeypatch.setattr(blanket_mod, "step_factored", no_step)
+    with pytest.raises(ConfigError, match="seed"):
+        collect_transitions(ci_env(), uniform_random_policy, 10, seed, ci_discretizer())
+
+
+def test_symbolizer_rejects_code_spaces_beyond_int64(monkeypatch):
+    # The code space is checked before the env's maps are built, so a grid
+    # far too large to build still reaches the check, and passing it ends
+    # at the maps.
+    import interoai.blanket as blanket_mod
+
+    class ChecksPassed(Exception):
+        pass
+
+    def maps_after_the_checks(env):
+        raise ChecksPassed
+
+    monkeypatch.setattr(blanket_mod, "transition_maps", maps_after_the_checks)
+
+    def collect(rows, cols, disc):
+        env = ci_env(grid=dataclasses.replace(ci_env().grid, rows=rows, cols=cols))
+        collect_transitions(env, uniform_random_policy, 10, 0, disc)
+
+    disc = Discretizer(internal_edges=((0.0,),) * 3)
     # rows * cols * 4 tags * 1 season = 2**63 codes: the largest, 2**63 - 1, fits.
-    fits = GridSpec(rows=2**30, cols=2**31, start=(0, 0), seasons=(season,))
-    BlanketSymbolizer(disc, fits)
+    with pytest.raises(ChecksPassed):
+        collect(2**30, 2**31, disc)
     with pytest.raises(ConfigError, match="int64"):
-        BlanketSymbolizer(disc, GridSpec(rows=2**30 + 1, cols=2**31, start=(0, 0), seasons=(season,)))
+        collect(2**30 + 1, 2**31, disc)
     many_bins = Discretizer(internal_edges=(tuple(float(k) for k in range(8)),) * 30)
     with pytest.raises(ConfigError, match="int64"):
-        BlanketSymbolizer(many_bins, GridSpec(rows=2, cols=2, start=(0, 0), seasons=(season,)))
-
-
-_EDGE_SET = st.lists(st.integers(-20, 20), min_size=1, max_size=5, unique=True).map(
-    lambda ks: tuple(float(k) for k in sorted(ks))
-)
-# On, between and beyond the edges, and at either infinity.
-_VALUE = st.one_of(st.integers(-44, 44).map(lambda k: k / 2), st.sampled_from((-math.inf, math.inf)))
+        collect(5, 5, many_bins)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    edges=st.lists(_EDGE_SET, min_size=1, max_size=4),
+    edges=st.lists(EDGE_SETS, min_size=1, max_size=4),
     rows=st.integers(1, 6),
     cols=st.integers(1, 6),
     n_seasons=st.integers(1, 3),
@@ -416,35 +459,19 @@ _VALUE = st.one_of(st.integers(-44, 44).map(lambda k: k / 2), st.sampled_from((-
 )
 def test_codes_are_the_tuple_encoding_and_injective(edges, rows, cols, n_seasons, data):
     disc = Discretizer(internal_edges=tuple(edges))
-    grid = GridSpec(
-        rows=rows, cols=cols, start=(0, 0), seasons=(SeasonSpec(baseline=40.0, placements=()),) * n_seasons
-    )
-    sym = BlanketSymbolizer(disc, grid)
     enc = BlanketTupleEncoder(disc.internal_edges, rows, cols, len(Tag), n_seasons, len(ACTIONS))
-    tag_rows = st.lists(st.sampled_from(list(Tag)), min_size=cols, max_size=cols).map(tuple)
-    tags = data.draw(st.lists(tag_rows, min_size=rows, max_size=rows).map(tuple))
-    flux = st.sampled_from((0.0, 0.25))
-    states, actions = [], []
-    for _ in range(30):
-        values = tuple(data.draw(_VALUE) for _ in edges)
-        boundary = BoundaryState(data.draw(_VALUE), data.draw(flux), data.draw(flux))
-        external = ExternalState(
-            agent_pos=(data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))),
-            resource_map=tags,
-            ambient_field=(),
-            season=data.draw(st.integers(0, n_seasons - 1)),
-        )
-        actions.append(data.draw(st.sampled_from(ACTIONS)))
-        states.append(FactoredState(InternalState(values), boundary, external, t=0))
+    states = draw_states(data, len(edges), rows, cols, n_seasons)
+    actions = [data.draw(st.sampled_from(ACTIONS)) for _ in states]
 
-    # The array coder, fed one column per fact, as the collector feeds it.
-    i_codes = sym.internal_codes(np.array([s.internal.values for s in states]))
-    b_codes = sym.boundary_codes(
+    # The array forms, fed one column per fact, composed by the collector's `blanket_codes`.
+    grid = GridSpec(rows, cols, (0, 0), (SeasonSpec(baseline=40.0, placements=()),) * n_seasons)
+    i_codes = disc.internal_codes(np.array([s.internal.values for s in states]))
+    b_codes = disc.boundary_codes(
         *np.array([(s.boundary.sensed_ambient, s.boundary.flux_food, s.boundary.flux_water) for s in states]).T
     )
     e_parts = [(*s.external.agent_pos, s.external.tag_at(s.external.agent_pos), s.external.season) for s in states]
-    e_codes = sym.external_codes(*np.array(e_parts, dtype=np.int64).T)
-    z_codes = sym.conditioner_codes(i_codes, b_codes, np.array(actions, dtype=np.int64))
+    facts = np.array([(*e, a) for e, a in zip(e_parts, actions)], dtype=np.int64).T
+    e_codes, z_codes = blanket_codes(disc, grid, i_codes, b_codes, *facts)
     for codes in (i_codes, b_codes, e_codes, z_codes):
         assert codes.dtype == np.int64 and codes.shape == (len(states),)
 

@@ -90,3 +90,6 @@ def test_tracer_sees_the_maps_of_every_step(quick_cfg):
     assert names.count("envs.f_b") == steps
     assert names.count("envs.f_i") == steps
     assert names.count("envs.f_e") == steps
+    # A learner keys every state it steps from through the traced name.
+    assert quick_cfg.agent.kind == "HomeostaticQ"
+    assert names.count("agents.Discretizer.key") >= steps
