@@ -23,6 +23,7 @@ from .homeostat import (
     DriveModel,
     dominant_deficit,
     drive,
+    drive_and_deficit,
     homeostatic_reward,
     in_viability,
 )

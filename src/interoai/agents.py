@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from math import exp
 from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
@@ -31,7 +32,8 @@ import numpy as np
 
 from .core import ACTIONS, Action, ExternalState, FactoredState, Tag
 from .errors import ConfigError, NonFiniteValue, require_finite
-from .homeostat import DriveModel, dominant_deficit, drive
+# Uncalled here, `drive` and `dominant_deficit` are names bench/bench_trace.py wraps.
+from .homeostat import DriveModel, dominant_deficit, drive, drive_and_deficit  # noqa: F401
 
 ObsKey = int
 
@@ -162,34 +164,34 @@ class QTable:
         """Q(obs, .) in `actions` order; the stored row, so read it only."""
         return self.values.get(obs, self._zeros)
 
-    def max_value(self, obs: ObsKey) -> float:
-        return max(self.row(obs))
-
     def greedy(self, obs: ObsKey) -> Action:
         row = self.row(obs)
         best = max(row)
         return self.actions[row.index(best)]  # ties break to the lowest index
 
 
-def softmax_probs(qvalues: Sequence[float], tau: float) -> tuple[float, ...]:
-    """Softmax with max-subtraction for numerical stability."""
-    top = max(qvalues)
-    exps = [math.exp((q - top) / tau) for q in qvalues]
-    z = sum(exps)
-    return tuple([e / z for e in exps])
-
-
 def q_select(q: QTable, obs: ObsKey, tau: float, rng: np.random.Generator) -> Action:
-    """Sample an action from softmax(Q(obs, .) / tau)."""
-    if tau <= 0.0:
-        raise ConfigError("softmax temperature must be > 0")
-    probs = softmax_probs(q.row(obs), tau)
+    """Sample an action from softmax(Q(obs, .) / tau), in one walk.
+
+    Adds each `exp((Q(obs, a) - max) / tau) / z` to a running total in action
+    order and returns the first action whose total exceeds `u = rng.random()`.
+    """
+    if not tau > 0.0:  # also refuses NaN
+        raise ConfigError(f"softmax temperature must be > 0, got {tau}")
+    row = q.row(obs)
+    top = max(row)
+    exps = []
+    for v in row:  # a loop, not a comprehension: no frame per call before Python 3.12
+        exps.append(exp((v - top) / tau))
+    z = sum(exps)
     u = rng.random()
     acc = 0.0
-    for a, p in zip(q.actions, probs):
-        acc += p
+    i = 0
+    for e in exps:
+        acc += e / z
         if u < acc:
-            return a
+            return q.actions[i]
+        i += 1
     return q.actions[-1]  # u landed in the last slot's rounding slack
 
 
@@ -200,13 +202,20 @@ def q_update(
     gamma: float,
     g: float,
 ) -> None:
-    """One gain-modulated temporal-difference backup; touches a single entry."""
+    """One gain-modulated TD backup of a single entry; only a finite update creates a row."""
     obs, action, reward, obs_next = transition
-    old = q.get(obs, action)
-    new = old + alpha * g * (reward + gamma * q.max_value(obs_next) - old)
+    rows = q.values
+    row = rows.get(obs)
+    i = q._index[action]
+    old = 0.0 if row is None else row[i]
+    row_next = rows.get(obs_next)
+    best_next = 0.0 if row_next is None else max(row_next)
+    new = old + alpha * g * (reward + gamma * best_next - old)
     if not math.isfinite(new):
         raise NonFiniteValue(f"update for {obs}/{action.name} produced {new}")
-    q.set(obs, action, new)
+    if row is None:
+        row = rows[obs] = [0.0] * len(q.actions)
+    row[i] = new
 
 
 @dataclass(frozen=True)
@@ -236,22 +245,17 @@ class NeuromodConfig:
             raise ConfigError("beta_g must be >= 0")
 
 
-def modulate(
-    cfg: NeuromodConfig, dm: DriveModel, h, d: float | None = None
-) -> ModulationSignals:
-    """Map the current drive to exploration temperature, TD gain, and context.
+def modulate(cfg: NeuromodConfig, d: float, deficit: int) -> ModulationSignals:
+    """Map a drive and its dominant deficit to temperature, TD gain, and context.
 
     tau falls from tau_max (satiated) toward tau_min (needy); the gain rises
-    from 1 toward 1 + beta_g; the context is the dominant deficit dimension
-    when gating is on, else a single shared context.  Pass `d` when the
-    drive of `h` is already known.
+    from 1 toward 1 + beta_g; the context is the dominant deficit when
+    gating is on, else a single shared context.  `drive_and_deficit` gives
+    both inputs in one pass.
     """
-    if d is None:
-        d = drive(dm, h)
-    tau = cfg.tau_min + (cfg.tau_max - cfg.tau_min) * math.exp(-cfg.beta_tau * d)
+    tau = cfg.tau_min + (cfg.tau_max - cfg.tau_min) * exp(-cfg.beta_tau * d)
     g = 1.0 + cfg.beta_g * d / (1.0 + d)
-    context = dominant_deficit(dm, h) if cfg.context_gating else 0
-    return ModulationSignals(temperature=tau, td_gain=g, context_id=context)
+    return ModulationSignals(tau, g, deficit if cfg.context_gating else 0)
 
 
 AGENT_KINDS = ("Random", "ExternalRewardQ", "HomeostaticQ", "Neuromod")
@@ -332,12 +336,11 @@ class TabularQAgent:
             return self._facts_of_state
         if state is self._prev:
             return self._facts_of_prev
-        h = state.internal
         obs = self.disc.external_features(state) if self._external_only else self.disc.key(state)
-        d = drive(self.dm, h)
+        d, deficit = drive_and_deficit(self.dm, state.internal)
         sig = self._fixed_signals
         if sig is None:
-            sig = modulate(self.neuromod, self.dm, h, d)
+            sig = modulate(self.neuromod, d, deficit)
         facts = (obs, d, sig)
         self._prev, self._facts_of_prev = self._state, self._facts_of_state
         self._state, self._facts_of_state = state, facts
@@ -353,14 +356,6 @@ class TabularQAgent:
             self.tables[context_id] = table
         return table
 
-    # -- reward -------------------------------------------------------------
-
-    def reward(self, state: FactoredState, action: Action, nxt: FactoredState) -> float:
-        if self._external_only:
-            tag = state.external.tag_at(state.external.agent_pos)
-            return 1.0 if action == Action.Consume and tag in (Tag.Food, Tag.Water) else 0.0
-        return self._facts(state)[1] - self._facts(nxt)[1]
-
     # -- the act / learn pair ------------------------------------------------
 
     def act(self, state: FactoredState, rng: np.random.Generator) -> Action:
@@ -369,10 +364,17 @@ class TabularQAgent:
         return q_select(self.table_for(sig.context_id), obs, sig.temperature, rng)
 
     def learn(self, state: FactoredState, action: Action, nxt: FactoredState) -> None:
-        obs, _, sig = self._facts(state)
-        transition = (obs, action, self.reward(state, action, nxt), self._facts(nxt)[0])
+        obs, d, sig = self._facts(state)
+        obs_next, d_next, _ = self._facts(nxt)
+        reward = external_reward(state, action) if self._external_only else d - d_next
         table = self.table_for(sig.context_id)
-        q_update(table, transition, self.cfg.alpha, self.cfg.gamma, sig.td_gain)
+        q_update(table, (obs, action, reward, obs_next), self.cfg.alpha, self.cfg.gamma, sig.td_gain)
+
+
+def external_reward(state: FactoredState, action: Action) -> float:
+    """ExternalRewardQ's reward: +1 for consuming on a food or water cell."""
+    tag = state.external.tag_at(state.external.agent_pos)
+    return 1.0 if action == Action.Consume and tag in (Tag.Food, Tag.Water) else 0.0
 
 
 def make_agent(

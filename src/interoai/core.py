@@ -204,10 +204,11 @@ def step_factored(
 ) -> FactoredState:
     """Advance one step under the fixed blanket-respecting update order."""
     check_schema(model, state)
-    b_next = model.f_b(state.internal, state.external, action)
-    i_next = internal_update(model, state.internal, state.boundary, state.external, action)
-    e_next = model.f_e(state.external, state.boundary, action, rng, state.t + 1)
-    return FactoredState(internal=i_next, boundary=b_next, external=e_next, t=state.t + 1)
+    i, b, e = state.internal, state.boundary, state.external
+    t = state.t + 1
+    b_next = model.f_b(i, e, action)
+    i_next = internal_update(model, i, b, e, action)
+    return FactoredState(i_next, b_next, model.f_e(e, b, action, rng, t), t)
 
 
 def perturb_external(state: FactoredState, replacement: ExternalState) -> FactoredState:

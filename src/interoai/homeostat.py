@@ -64,13 +64,31 @@ def _check_dim(dm: DriveModel, h: InternalState) -> None:
         raise DimensionMismatch(f"internal dim {len(h)} != drive model dim {dm.dim}")
 
 
+def drive_and_deficit(dm: DriveModel, h: InternalState) -> tuple[float, int]:
+    """The drive of `h` and its dominant deficit, from one pass over the dimensions.
+
+    The deficit is the index of the largest weighted deviation (ties: the
+    lowest index).  The deviations are added left to right with `+=`: `sum`
+    of floats is compensated from Python 3.12 on, which would change the bits.
+    """
+    _check_dim(dm, h)
+    n = dm.n
+    total = 0.0
+    best = -1.0
+    deficit = i = 0
+    for w, target, v in zip(dm.weights, dm.set_point, h.values):
+        deviation = w * abs(target - v) ** n
+        total += deviation
+        if deviation > best:
+            best = deviation
+            deficit = i
+        i += 1
+    return total ** (1.0 / dm.m), deficit
+
+
 def drive(dm: DriveModel, h: InternalState) -> float:
     """Distance of `h` from the set point; zero exactly at the set point."""
-    _check_dim(dm, h)
-    total = 0.0
-    for w, target, v in zip(dm.weights, dm.set_point, h.values):
-        total += w * abs(target - v) ** dm.n
-    return total ** (1.0 / dm.m)
+    return drive_and_deficit(dm, h)[0]
 
 
 def homeostatic_reward(dm: DriveModel, h_t: InternalState, h_next: InternalState) -> float:
@@ -81,17 +99,12 @@ def homeostatic_reward(dm: DriveModel, h_t: InternalState, h_next: InternalState
 def in_viability(dm: DriveModel, h: InternalState) -> bool:
     """True iff every component lies inside its closed viability interval."""
     _check_dim(dm, h)
-    return all(lo <= v <= hi for (lo, hi), v in zip(dm.viability, h.values))
+    for (lo, hi), v in zip(dm.viability, h.values):
+        if not lo <= v <= hi:
+            return False
+    return True
 
 
 def dominant_deficit(dm: DriveModel, h: InternalState) -> int:
     """Index of the largest weighted deviation; ties break to the lowest index."""
-    _check_dim(dm, h)
-    best_idx = 0
-    best = -1.0
-    for i, (w, target, v) in enumerate(zip(dm.weights, dm.set_point, h.values)):
-        contribution = w * abs(target - v) ** dm.n
-        if contribution > best:
-            best = contribution
-            best_idx = i
-    return best_idx
+    return drive_and_deficit(dm, h)[1]

@@ -25,6 +25,7 @@ from .errors import StreamMisuse
 
 # Draws a block stream makes per numpy call.
 BLOCK = 1024
+_RANDOM = ("random",)  # the lock of a stream that serves `random()`
 
 
 def stream(master_seed: int, run_id: int = 0, purpose: str = "") -> np.random.Generator:
@@ -55,7 +56,11 @@ class BlockStream:
         self._next = 0
 
     def random(self) -> float:
-        return self._take(("random",))
+        i = self._next
+        if self._call is _RANDOM and i < len(self._block):  # locked to random(), block not spent
+            self._next = i + 1
+            return self._block[i]
+        return self._take(_RANDOM)
 
     def integers(self, low: int, high: int) -> int:
         return self._take(("integers", low, high))

@@ -3,7 +3,10 @@
 Nothing here shares code with the package paths under test: conditional
 mutual information is computed from explicit conditional-probability
 tables, optimal action values come from value iteration over an
-enumerated MDP, and symbols are tuples binned with `bisect_right`.
+enumerated MDP, and symbols are tuples binned with `bisect_right`.  The
+learner step's earlier algorithms are kept here as step-by-step references:
+the softmax as a probability tuple walked in a second loop, the drive and
+the dominant deficit as two passes, and the TD backup as get, max, set.
 """
 
 from __future__ import annotations
@@ -49,6 +52,58 @@ def entropy_from_counts(counts: dict[tuple, float], component: int) -> float:
     for key, c in counts.items():
         marg[key[component]] = marg.get(key[component], 0.0) + c
     return -sum((c / total) * math.log(c / total) for c in marg.values() if c > 0.0)
+
+
+def softmax_probs(qvalues, tau: float) -> tuple[float, ...]:
+    """Softmax with max-subtraction for numerical stability."""
+    top = max(qvalues)
+    exps = [math.exp((q - top) / tau) for q in qvalues]
+    z = sum(exps)
+    return tuple([e / z for e in exps])
+
+
+def softmax_walk(actions, qvalues, tau: float, u: float):
+    """The action whose slot of the cumulative softmax holds `u`.
+
+    A `u` beyond the last cumulative total (its rounding slack) picks the
+    last action.
+    """
+    acc = 0.0
+    for a, p in zip(actions, softmax_probs(qvalues, tau)):
+        acc += p
+        if u < acc:
+            return a
+    return actions[-1]
+
+
+def two_pass_drive(dm, values) -> float:
+    """The drive ( sum_i w_i * |h*_i - h_i|^n ) ** (1/m), summed left to right."""
+    total = 0.0
+    for w, target, v in zip(dm.weights, dm.set_point, values):
+        total += w * abs(target - v) ** dm.n
+    return total ** (1.0 / dm.m)
+
+
+def two_pass_dominant_deficit(dm, values) -> int:
+    """Index of the largest weighted deviation; the lowest index wins a tie."""
+    best_idx = 0
+    best = -1.0
+    for i, (w, target, v) in enumerate(zip(dm.weights, dm.set_point, values)):
+        contribution = w * abs(target - v) ** dm.n
+        if contribution > best:
+            best = contribution
+            best_idx = i
+    return best_idx
+
+
+def get_max_set_update(q, transition, alpha: float, gamma: float, g: float) -> None:
+    """The TD backup through the table's own API: get, max of the next row, set."""
+    obs, action, reward, obs_next = transition
+    old = q.get(obs, action)
+    new = old + alpha * g * (reward + gamma * max(q.row(obs_next)) - old)
+    if not math.isfinite(new):
+        raise ArithmeticError(f"update for {obs}/{action.name} produced {new}")
+    q.set(obs, action, new)
 
 
 def mixed_radix_code(digits: tuple[int, ...], radices: tuple[int, ...]) -> int:

@@ -15,20 +15,20 @@ from interoai.agents import (
     Discretizer,
     NeuromodConfig,
     QTable,
+    external_reward,
     make_agent,
     modulate,
     q_select,
     q_update,
-    softmax_probs,
 )
 from interoai.core import ACTIONS, Action, InternalState, Tag
 from interoai.envs import reset
 from interoai.errors import ConfigError, NonFiniteValue
-from interoai.homeostat import DriveModel, drive
+from interoai.homeostat import DriveModel, drive, drive_and_deficit
 from interoai.rng import stream
 
 from helpers import EDGE_SETS, TINY_DRIVE, draw_states, make_tiny_env
-from oracles import mixed_radix_code, observation_tuple
+from oracles import get_max_set_update, mixed_radix_code, observation_tuple, softmax_probs, softmax_walk
 
 DISC = Discretizer(internal_edges=((0.3, 0.5), (0.3, 0.5), (36.0, 38.5, 40.0)))
 
@@ -240,6 +240,102 @@ def test_q_update_rejects_non_finite():
         q_update(q, ("s", Action.Rest, float("inf"), "s"), alpha=0.5, gamma=0.9, g=1.0)
 
 
+class FixedDraw:
+    """A generator stand-in whose `random()` always returns `u`."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+LAST_DRAW = 1.0 - 2.0**-53  # the largest value `random()` returns
+Q_VALUES = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), st.floats(-50.0, 50.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    row=st.lists(Q_VALUES, min_size=len(ACTIONS), max_size=len(ACTIONS)),
+    tau=st.one_of(st.sampled_from([1e-3, 0.05, 1.0]), st.floats(1e-4, 10.0)),
+    u=st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_q_select_is_the_reference_softmax_walk(row, tau, u):
+    # Ties among the values, a draw on every cumulative total and just below
+    # it, and draws in the last slot's rounding slack all pick what the
+    # probability tuple walked in a second loop picks.
+    q = QTable()
+    for a, v in zip(ACTIONS, row):
+        q.set(7, a, v)
+    draws = [u, 0.0, LAST_DRAW]
+    acc = 0.0
+    for p in softmax_probs(row, tau):
+        acc += p
+        draws += [acc, math.nextafter(acc, 0.0)]
+    for draw in draws:
+        if draw < 1.0:
+            assert q_select(q, 7, tau, FixedDraw(draw)) is softmax_walk(ACTIONS, row, tau, draw)
+
+
+def test_q_select_ties_and_the_rounding_slack():
+    # Six equal values: the lowest index wins a draw inside its slot, and
+    # the six probabilities add up to LAST_DRAW, not 1, so the largest draw
+    # lies in no slot and goes to the last action.
+    q = QTable()
+    assert q_select(q, "fresh", 0.2, FixedDraw(0.0)) is ACTIONS[0]
+    acc = 0.0
+    for p in softmax_probs(q.row("fresh"), 0.2):
+        acc += p
+    assert acc == LAST_DRAW
+    assert q_select(q, "fresh", 0.2, FixedDraw(LAST_DRAW)) is ACTIONS[-1]
+    q.set("s", Action.MoveS, 3.0)
+    q.set("s", Action.Consume, 3.0)
+    assert q_select(q, "s", 1e-3, FixedDraw(0.25)) is Action.MoveS
+    assert q_select(q, "s", 1e-3, FixedDraw(0.75)) is Action.Consume
+
+
+@pytest.mark.parametrize("tau", [math.nan, 0.0, -0.0, -1.0, -math.inf])
+def test_q_select_rejects_a_temperature_that_is_not_positive(tau):
+    q = QTable()
+    with pytest.raises(ConfigError, match="temperature"):
+        q_select(q, "s", tau, FixedDraw(0.5))
+
+
+REWARDS = st.one_of(st.floats(-5.0, 5.0), st.floats(), st.sampled_from([math.inf, -math.inf, math.nan]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    prior=st.lists(st.tuples(st.integers(0, 3), st.sampled_from(ACTIONS), st.floats(-5.0, 5.0)), max_size=6),
+    updates=st.lists(
+        st.tuples(st.integers(0, 3), st.sampled_from(ACTIONS), REWARDS, st.integers(0, 3)), max_size=25
+    ),
+    alpha=st.floats(0.01, 1.0),
+    gamma=st.floats(0.0, 0.99),
+    g=st.floats(1.0, 2.0),
+)
+def test_q_update_is_get_max_set(prior, updates, alpha, gamma, g):
+    # Observations are drawn from four, so obs == obs_next is common and so
+    # are first visits of both; a rejected update must leave no new row.
+    q, ref = QTable(), QTable()
+    for obs, a, v in prior:
+        q.set(obs, a, v)
+        ref.set(obs, a, v)
+    for transition in updates:
+        seen = transition[0] in ref.values
+        try:
+            get_max_set_update(ref, transition, alpha, gamma, g)
+        except ArithmeticError:
+            with pytest.raises(NonFiniteValue):
+                q_update(q, transition, alpha, gamma, g)
+            assert (transition[0] in q.values) == seen
+        else:
+            q_update(q, transition, alpha, gamma, g)
+        assert list(q.values) == list(ref.values)  # rows in first-write order
+        for obs, row in ref.values.items():
+            assert [v.hex() for v in q.values[obs]] == [v.hex() for v in row]
+
+
 def test_greedy_tie_breaks_to_lowest_index_and_shift_invariant():
     q = QTable()
     assert q.greedy("fresh") == ACTIONS[0]
@@ -257,16 +353,16 @@ DM1 = DriveModel(set_point=(0.0,), weights=(1.0,))
 
 
 def test_modulate_boundary_cases():
-    sig = modulate(NM, DM1, InternalState((0.0,)))
+    sig = modulate(NM, *drive_and_deficit(DM1, InternalState((0.0,))))
     assert sig.temperature == pytest.approx(NM.tau_max, abs=1e-12)
     assert sig.td_gain == pytest.approx(1.0, abs=1e-12)
-    far = modulate(NM, DM1, InternalState((1e9,)))
+    far = modulate(NM, *drive_and_deficit(DM1, InternalState((1e9,))))
     assert far.temperature == pytest.approx(NM.tau_min, abs=1e-9)
     assert far.td_gain == pytest.approx(1.0 + NM.beta_g, rel=1e-6)
 
 
 def test_modulate_example_value():
-    sig = modulate(NM, DM1, InternalState((1.0,)))
+    sig = modulate(NM, *drive_and_deficit(DM1, InternalState((1.0,))))
     assert sig.temperature == pytest.approx(0.05 + 0.95 * math.exp(-1.0), abs=1e-12)
     assert sig.temperature == pytest.approx(0.3995, abs=5e-5)
 
@@ -274,7 +370,7 @@ def test_modulate_example_value():
 def test_modulate_monotonicity_grid():
     taus, gains = [], []
     for d in [0.0, 0.1, 0.25, 0.5, 1.0, 2.0, 5.0]:
-        sig = modulate(NM, DM1, InternalState((d,)))
+        sig = modulate(NM, *drive_and_deficit(DM1, InternalState((d,))))
         taus.append(sig.temperature)
         gains.append(sig.td_gain)
     assert all(a > b for a, b in zip(taus, taus[1:]))
@@ -283,10 +379,11 @@ def test_modulate_monotonicity_grid():
 
 def test_modulate_context_is_dominant_deficit():
     dm = DriveModel(set_point=(0.0, 0.0, 0.0), weights=(1.0, 1.0, 1.0))
-    sig = modulate(NM, dm, InternalState((0.0, 3.0, 0.0)))
-    assert sig.context_id == 1
+    d, deficit = drive_and_deficit(dm, InternalState((0.0, 3.0, 0.0)))
+    sig = modulate(NM, d, deficit)
+    assert sig.context_id == deficit == 1
     ungated = NeuromodConfig(context_gating=False)
-    assert modulate(ungated, dm, InternalState((0.0, 3.0, 0.0))).context_id == 0
+    assert modulate(ungated, d, deficit).context_id == 0
 
 
 def test_context_isolation_replay():
@@ -317,7 +414,7 @@ def test_context_isolation_replay():
             (
                 obs,
                 action,
-                agent.reward(probe, action, nxt),
+                drive(TINY_DRIVE, probe.internal) - drive(TINY_DRIVE, nxt.internal),
                 agent._facts(nxt)[0],
                 sig.td_gain,
             )
@@ -383,9 +480,9 @@ def test_external_reward_agent_sees_no_internal_state():
     on_food = dataclasses.replace(
         state, external=dataclasses.replace(state.external, agent_pos=(0, 0))
     )
-    assert agent.reward(on_food, Action.Consume, state) == 1.0
-    assert agent.reward(on_food, Action.Rest, state) == 0.0
-    assert agent.reward(state, Action.Consume, state) == 0.0  # empty cell
+    assert external_reward(on_food, Action.Consume) == 1.0
+    assert external_reward(on_food, Action.Rest) == 0.0
+    assert external_reward(state, Action.Consume) == 0.0  # empty cell
 
 
 def test_random_agent_uniform_and_learn_free():
@@ -444,7 +541,7 @@ def test_key_and_drive_computed_at_most_once_per_state(kind, monkeypatch):
     cfg = parse_config(doc)
     made = {"states": 0, "respawns": 0}
     keyed = []
-    drives = [0]
+    drives = [0]  # calls of drive and of drive_and_deficit
 
     def counting(fn, counter):
         def wrapper(*args, **kwargs):
@@ -457,6 +554,10 @@ def test_key_and_drive_computed_at_most_once_per_state(kind, monkeypatch):
         drives[0] += 1
         return drive(dm, h)
 
+    def counted_drive_and_deficit(dm, h):
+        drives[0] += 1
+        return drive_and_deficit(dm, h)
+
     key = agents_mod.Discretizer.key
 
     def recorded_key(self, state):
@@ -467,7 +568,7 @@ def test_key_and_drive_computed_at_most_once_per_state(kind, monkeypatch):
     monkeypatch.setattr(runner_mod, "reset", counting(runner_mod.reset, "states"))
     monkeypatch.setattr(runner_mod, "respawn", counting(runner_mod.respawn, "respawns"))
     monkeypatch.setattr(runner_mod, "drive", counted_drive)
-    monkeypatch.setattr(agents_mod, "drive", counted_drive)
+    monkeypatch.setattr(agents_mod, "drive_and_deficit", counted_drive_and_deficit)
     monkeypatch.setattr(agents_mod.Discretizer, "key", recorded_key)
 
     runner_mod.execute_run(cfg, 0)
@@ -481,6 +582,8 @@ def test_key_and_drive_computed_at_most_once_per_state(kind, monkeypatch):
     assert drives[0] <= distinct
     if kind in ("HomeostaticQ", "Neuromod"):
         assert len(keyed) >= made["states"]
+    if kind != "Random":
+        assert drives[0] >= made["states"]  # the agent's drives are the ones counted
 
 
 @pytest.mark.parametrize("kind", ["ExternalRewardQ", "HomeostaticQ", "Neuromod"])

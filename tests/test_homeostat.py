@@ -13,6 +13,7 @@ from interoai.homeostat import (
     DriveModel,
     dominant_deficit,
     drive,
+    drive_and_deficit,
     homeostatic_reward,
     in_viability,
 )
@@ -20,6 +21,7 @@ from interoai.core import step_factored
 from interoai.rng import stream
 
 from helpers import make_tiny_env
+from oracles import two_pass_dominant_deficit, two_pass_drive
 
 DM2 = DriveModel(set_point=(0.0, 0.0), weights=(1.0, 1.0), viability=((-10.0, 10.0),) * 2)
 
@@ -115,6 +117,33 @@ def test_dominant_deficit_examples():
     assert dominant_deficit(dm3, InternalState((2.0, 2.0, 2.0))) == 0  # tie -> lowest
     dm2 = DriveModel(set_point=(0.0, 0.0), weights=(4.0, 1.0))
     assert dominant_deficit(dm2, InternalState((1.0, 1.5))) == 0  # 4*1 > 1*2.25
+
+
+COMPONENTS = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0]), st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), dims=st.integers(1, 5))
+def test_one_pass_equals_the_two_pass_drive_and_deficit(data, dims):
+    # Values drawn from a few sampled ones tie often: the lowest index wins.
+    def vector(elements):
+        return tuple(data.draw(st.lists(elements, min_size=dims, max_size=dims)))
+
+    exponent = st.one_of(st.sampled_from([1.0, 2.0, 3.0]), st.floats(1.0, 4.0))
+    weights = vector(st.one_of(st.just(1.0), st.floats(1e-3, 1e3)))
+    dm = DriveModel(vector(COMPONENTS), weights, data.draw(exponent), data.draw(exponent))
+    values = vector(COMPONENTS)
+    h = InternalState(values)
+    d, deficit = drive_and_deficit(dm, h)
+    assert d.hex() == drive(dm, h).hex() == two_pass_drive(dm, values).hex()
+    assert deficit == dominant_deficit(dm, h) == two_pass_dominant_deficit(dm, values)
+    with pytest.raises(DimensionMismatch):
+        drive_and_deficit(dm, InternalState(values + (0.0,)))
+
+
+@given(st.lists(st.floats(allow_nan=True), min_size=2, max_size=2))
+def test_in_viability_is_every_component_inside(values):
+    assert in_viability(DM2, InternalState(tuple(values))) == all(-10.0 <= v <= 10.0 for v in values)
 
 
 @given(st.floats(0.1, 100.0))

@@ -84,6 +84,33 @@ def test_block_stream_rejects_a_second_kind_of_draw():
         s.random()
 
 
+@pytest.mark.parametrize("before", [5, BLOCK + 1])
+@pytest.mark.parametrize("second", [("integers", 0, 6), ("normal", 0.0, 0.5, (5, 5))])
+def test_random_fast_path_still_enforces_the_lock(before, second):
+    # `random()` skips the lock check while its block lasts; the other draws
+    # must still be refused, inside a block and just past a block boundary.
+    s = BlockStream(3, 1, "agent")
+    plain = stream(3, 1, "agent")
+    for _ in range(before):
+        assert s.random() == plain.random()
+    for _ in range(2):
+        with pytest.raises(StreamMisuse):
+            _draw(s, second)
+        # The refused call handed nothing out: the stream goes on where it was.
+        assert s.random().hex() == plain.random().hex()
+
+
+@pytest.mark.parametrize("before", [5, BLOCK + 1])
+def test_random_is_refused_by_a_stream_locked_to_another_draw(before):
+    s = BlockStream(3, 1, "policy")
+    plain = stream(3, 1, "policy")
+    for _ in range(before):
+        assert s.integers(0, 6) == int(plain.integers(0, 6))
+    with pytest.raises(StreamMisuse):
+        s.random()
+    assert s.integers(0, 6) == int(plain.integers(0, 6))
+
+
 @pytest.mark.parametrize(
     "first,second",
     [
