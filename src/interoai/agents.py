@@ -26,7 +26,7 @@ from bisect import bisect_right
 from math import exp
 from dataclasses import dataclass
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,9 +46,9 @@ def flux_bits(food, water):
     return (food != 0.0) * 2 + (water != 0.0)
 
 
-def cell_code(row, col, tag, cols):
-    """Row, column, then the tag under the agent, of one state or of columns of states."""
-    return (row * cols + col) * TAG_CODES + tag
+def external_code(row, col, tag, season, rows, cols):
+    """Season, row, column, then the tag under the agent, of one state or of columns of states."""
+    return ((season * rows + row) * cols + col) * TAG_CODES + tag
 
 
 def _bins(edges: tuple[float, ...], values: np.ndarray) -> np.ndarray:
@@ -68,10 +68,10 @@ class Discretizer:
       edges at or below the value (`bisect_right`, `_bins`), so a value on
       an edge belongs to the upper bin;
     * the sensed-ambient bin, by the same rule over `ambient_edges`;
-    * the two `flux_bits`, and the `cell_code` with the season above it.
+    * the two `flux_bits`, and the `external_code`: season, row, column, tag.
 
-    The agent's `key` is, most significant first: the season (if
-    `season_visible`), the cell, the ambient bin (if `sense_ambient`), the
+    The agent's `key` is, most significant first: the external code (season
+    0 unless `season_visible`), the ambient bin (if `sense_ambient`), the
     flux bits and the internal bins.  Its row and column radices come from
     the state's own `resource_map`, and the season on top needs none.
     Without the flux bits the observed process is not Markov: ingestion
@@ -131,8 +131,7 @@ class Discretizer:
 def _external_code(ext: ExternalState, season_visible: bool) -> int:
     tags = ext.resource_map
     r, c = ext.agent_pos
-    row = ext.season * len(tags) + r if season_visible else r  # the season is the digit above the row
-    return cell_code(row, c, tags[r][c], len(tags[0]))
+    return external_code(r, c, tags[r][c], ext.season if season_visible else 0, len(tags), len(tags[0]))
 
 
 class QTable:
@@ -218,8 +217,7 @@ def q_update(
     row[i] = new
 
 
-@dataclass(frozen=True)
-class ModulationSignals:
+class ModulationSignals(NamedTuple):
     """Per-step neuromodulator output."""
 
     temperature: float
@@ -297,7 +295,8 @@ class TabularQAgent:
     """Shared machinery for the three learning agents.
 
     What the agent derives from a state -- observation key, drive and
-    modulation signals -- is computed once per state.  States are immutable,
+    modulation signals -- is computed once per state (ExternalRewardQ, which
+    learns from the external reward, computes no drive).  States are immutable,
     so the facts of the last two states seen are kept and matched by
     identity: in the step loop `learn(state, a, nxt)` derives the facts of
     `nxt`, and `act(nxt)` and the runner's `drive_of(nxt)` reuse them.
@@ -318,11 +317,7 @@ class TabularQAgent:
         self.tables: dict[int, QTable] = {}
         self.last_signals: ModulationSignals | None = None
         self._external_only = cfg.kind == "ExternalRewardQ"
-        self._fixed_signals = (
-            None
-            if cfg.kind == "Neuromod"
-            else ModulationSignals(temperature=cfg.tau, td_gain=1.0, context_id=0)
-        )
+        self._fixed_signals = None if cfg.kind == "Neuromod" else ModulationSignals(cfg.tau, 1.0, 0)
         self._state: FactoredState | None = None
         self._facts_of_state: tuple | None = None
         self._prev: FactoredState | None = None
@@ -330,23 +325,22 @@ class TabularQAgent:
 
     # -- per-state facts -------------------------------------------------------
 
-    def _facts(self, state: FactoredState) -> tuple[ObsKey, float, ModulationSignals]:
+    def _facts(self, state: FactoredState) -> tuple[ObsKey, float | None, ModulationSignals]:
         """(observation key, drive, signals) of `state`, from memo if it is recent."""
         if state is self._state:
             return self._facts_of_state
         if state is self._prev:
             return self._facts_of_prev
-        obs = self.disc.external_features(state) if self._external_only else self.disc.key(state)
-        d, deficit = drive_and_deficit(self.dm, state.internal)
-        sig = self._fixed_signals
-        if sig is None:
-            sig = modulate(self.neuromod, d, deficit)
-        facts = (obs, d, sig)
+        if self._external_only:
+            facts = (self.disc.external_features(state), None, self._fixed_signals)
+        else:
+            d, deficit = drive_and_deficit(self.dm, state.internal)
+            facts = (self.disc.key(state), d, self._fixed_signals or modulate(self.neuromod, d, deficit))
         self._prev, self._facts_of_prev = self._state, self._facts_of_state
         self._state, self._facts_of_state = state, facts
         return facts
 
-    def drive_of(self, state: FactoredState) -> float:
+    def drive_of(self, state: FactoredState) -> float | None:
         return self._facts(state)[1]
 
     def table_for(self, context_id: int) -> QTable:

@@ -29,11 +29,11 @@ import math
 from array import array
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-from .agents import TAG_CODES, Discretizer, cell_code
+from .agents import TAG_CODES, Discretizer, external_code
 from .core import (
     ACTIONS,
     Action,
@@ -57,10 +57,35 @@ def uniform_random_policy(state: FactoredState, rng: np.random.Generator | Block
     return ACTIONS[int(rng.integers(0, len(ACTIONS)))]
 
 
+def rollout(env: HomeoGridEnv, policy: Policy, seed: int, policy_purpose: str, env_purpose: str) -> Iterator:
+    """The one step loop: yields `(state, action, nxt, ok, dead)` per step, forever.
+
+    `ok` says `nxt`'s body is in the viability zone; `dead`, that it has been
+    out of it beyond the grace window, so the next step starts from
+    `respawn(env, nxt)`.  The policy and the env draw from their own streams.
+    """
+    model = transition_maps(env)
+    dm = env.drive_model
+    rng_env, rng_policy = BlockStream(seed, 0, env_purpose), BlockStream(seed, 0, policy_purpose)
+    tracker = SurvivalTracker(dm.grace_steps)
+    state = reset(env, seed)
+    while True:
+        action = policy(state, rng_policy)
+        nxt = step_factored(model, state, action, rng_env)
+        ok = in_viability(dm, nxt.internal)
+        dead = tracker.update(ok) is Status.Dead
+        following = nxt
+        if dead:  # before the yield, so a death on the last step taken respawns too
+            following = respawn(env, nxt)
+            tracker.reset()
+        yield state, action, nxt, ok, dead
+        state = following
+
+
 def blanket_codes(discretizer: Discretizer, grid: GridSpec, i, b, row, col, tag, season, action):
-    """(y, z) of one transition or of columns of them: y is e_t, its cell above
-    its season; z is the internal code, the boundary code, then the action."""
-    y = cell_code(row, col, tag, grid.cols) * len(grid.seasons) + season
+    """(y, z) of one transition or of columns of them: y is e_t's `external_code`;
+    z is the internal code, the boundary code, then the action."""
+    y = external_code(row, col, tag, season, grid.rows, grid.cols)
     return y, (i * discretizer.boundary_size + b) * len(ACTIONS) + action
 
 
@@ -91,7 +116,7 @@ def collect_transitions(
     seed: int,
     discretizer: Discretizer,
 ) -> TransitionDataset:
-    """Roll the policy for `steps` transitions, concatenating episodes on death.
+    """Take `steps` transitions of the policy's `rollout`, episodes concatenated.
 
     The policy draws from a `BlockStream`, so it must make one kind of draw
     with the same arguments every time, as `uniform_random_policy` does.
@@ -114,13 +139,7 @@ def collect_transitions(
     dims = len(env.drive_model.set_point)
     if len(d.internal_edges) != dims:
         raise ConfigError(f"{dims} internal values vs {len(d.internal_edges)} edge sets")
-    model = transition_maps(env)
-    rng_env = BlockStream(seed, 0, "blanket-env")
-    rng_policy = BlockStream(seed, 0, "blanket-policy")
-    state = reset(env, seed)
-    tracker = SurvivalTracker(env.drive_model.grace_steps)
-    dm = env.drive_model
-
+    walk = rollout(env, policy, seed, "blanket-policy", "blanket-env")
     x, y, z = (np.empty(steps, dtype=np.int64) for _ in range(3))
     counts: dict[tuple[int, int, int], float] = {}
     count = counts.get
@@ -135,22 +154,16 @@ def collect_transitions(
         fresh_rows = array("q")  # steps whose i_t is a fresh body, and its values:
         bodies = array("d")
         for k in range(n):
+            state, action, nxt, _, dead = next(walk)
             if fresh:
                 fresh_rows.append(k)
                 bodies.extend(state.internal.values)
-                fresh = False
-            action = policy(state, rng_policy)
-            nxt = step_factored(model, state, action, rng_env)
             b, ext = state.boundary, state.external
             r, c = ext.agent_pos
             sensed.extend((b.sensed_ambient, b.flux_food, b.flux_water))
             facts.extend((r, c, ext.resource_map[r][c], ext.season, action))
             nexts.extend(nxt.internal.values)
-            if tracker.update(in_viability(dm, nxt.internal)) is Status.Dead:
-                nxt = respawn(env, nxt)
-                tracker.reset()
-                fresh = True
-            state = nxt
+            fresh = dead  # a death respawns the next step's body
 
         nexts.extend(bodies)
         i_codes = d.internal_codes(np.frombuffer(nexts).reshape(-1, dims))

@@ -29,9 +29,11 @@ from ..blanket import (
     collect_transitions,
     conditional_mi,
     jacobian_sparsity,
+    rollout,
     uniform_random_policy,
 )
-from ..core import (
+# Uncalled here, `step_factored`, `respawn` and `in_viability` are names bench/bench_trace.py wraps.
+from ..core import (  # noqa: F401
     ACTIONS,
     BoundaryState,
     ExternalState,
@@ -39,12 +41,11 @@ from ..core import (
     InternalState,
     step_factored,
 )
-from ..envs import (
+from ..envs import (  # noqa: F401
     ENERGY,
     HYDRATION,
     HomeoGridEnv,
     Status,
-    SurvivalTracker,
     make_coupled_variant,
     reset,
     respawn,
@@ -52,7 +53,7 @@ from ..envs import (
     transition_maps,
 )
 from ..errors import ConfigError, RuntimeFailure
-from ..homeostat import drive, in_viability
+from ..homeostat import drive, in_viability  # noqa: F401
 from ..rng import BlockStream
 from .config import ExperimentConfig
 from .export import export
@@ -76,31 +77,26 @@ def execute_run(config: ExperimentConfig, seed: int) -> RunResult:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     env = config.env
     dm = env.drive_model
-    model = transition_maps(env)
     agent = make_agent(config.agent, dm, config.discretizer, config.neuromod)
-    rng_env = BlockStream(seed, 0, "env")
-    rng_agent = BlockStream(seed, 0, "agent")
+    walk = rollout(env, agent.act, seed, "agent", "env")
 
-    # Learning agents already know the drive of every state they have seen.
-    drive_of = getattr(agent, "drive_of", None) or (lambda s: drive(dm, s.internal))
+    # A drive learner knows the drive of every state it saw; others' are computed when logged.
+    drive_of = (
+        agent.drive_of if agent.kind in ("HomeostaticQ", "Neuromod") else lambda s: drive(dm, s.internal)
+    )
 
-    state = reset(env, seed)
-    tracker = SurvivalTracker(dm.grace_steps)
     records: list[StepRecord] = []
     episode = 0
     record_from = config.run.train_steps
     total = record_from + config.run.eval_steps
-    status = Status.Alive
+    dead = False
     step = -1
     try:
         for step in range(total):
-            action = agent.act(state, rng_agent)
-            sig = agent.last_signals
-            nxt = step_factored(model, state, action, rng_env)
+            state, action, nxt, ok, dead = next(walk)
             agent.learn(state, action, nxt)
-            ok = in_viability(dm, nxt.internal)
-            status = tracker.update(ok)
             if step >= record_from:
+                sig = agent.last_signals
                 d_next = drive_of(nxt)
                 pos = nxt.external.agent_pos
                 energy, hydration, core_temp = nxt.internal.values
@@ -123,11 +119,7 @@ def execute_run(config: ExperimentConfig, seed: int) -> RunResult:
                         context_id=sig.context_id if sig is not None else None,
                     )
                 )
-            if status is Status.Dead:
-                episode += 1
-                nxt = respawn(env, nxt)
-                tracker.reset()
-            state = nxt
+            episode += dead
     except ConfigError:
         raise
     except Exception as exc:
@@ -137,9 +129,8 @@ def execute_run(config: ExperimentConfig, seed: int) -> RunResult:
     ent_sat = mean(e for _, e, _ in entropies) if entropies else float("nan")
     ent_def = mean(e for _, _, e in entropies) if entropies else float("nan")
     row = build_metrics_row(seed, records, env.schedule.order[0], ent_sat, ent_def)
-    episode_log = EpisodeLog(
-        seed=seed, agent_kind=config.agent.kind, steps=records, terminal=status.value
-    )
+    terminal = (Status.Dead if dead else Status.Alive).value
+    episode_log = EpisodeLog(seed=seed, agent_kind=config.agent.kind, steps=records, terminal=terminal)
     return RunResult(log=episode_log, metrics=row, agent=agent)
 
 

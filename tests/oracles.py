@@ -144,14 +144,15 @@ class BlanketTupleEncoder:
 
     Internal symbols are per-dimension bins (radix: edges + 1); boundary
     symbols are (ambient bin, food bit, water bit); external symbols are
-    (row, col, tag, season); the conditioner (i, b, a) is the digits of the
+    (row, col, tag, season), coded with the season as the top digit, then
+    row, column and tag; the conditioner (i, b, a) is the digits of the
     internal symbol, then the boundary symbol, then the action.
     """
 
     def __init__(self, internal_edges, rows: int, cols: int, n_tags: int, n_seasons: int, n_actions: int):
         self.internal_radices = tuple(len(edges) + 1 for edges in internal_edges)
         self.boundary_radices = (len(internal_edges[-1]) + 1, 2, 2)
-        self.external_radices = (rows, cols, n_tags, n_seasons)
+        self.external_radices = (n_seasons, rows, cols, n_tags)
         self.n_actions = n_actions
 
     def internal(self, bins: tuple[int, ...]) -> int:
@@ -161,7 +162,8 @@ class BlanketTupleEncoder:
         return mixed_radix_code(symbol, self.boundary_radices)
 
     def external(self, symbol: tuple[int, int, int, int]) -> int:
-        return mixed_radix_code(symbol, self.external_radices)
+        row, col, tag, season = symbol
+        return mixed_radix_code((season, row, col, tag), self.external_radices)
 
     def conditioner(self, bins: tuple[int, ...], boundary: tuple[int, int, int], action: int) -> int:
         return mixed_radix_code(

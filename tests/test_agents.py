@@ -532,6 +532,7 @@ def test_key_and_drive_computed_at_most_once_per_state(kind, monkeypatch):
     # Every state a run touches -- reset, stepped, respawned and probe
     # states -- gets its observation key and its drive computed at most once.
     import interoai.agents as agents_mod
+    import interoai.blanket as blanket_mod
     import interoai.harness.runner as runner_mod
     from conftest import quick_config_doc
     from interoai.harness.config import parse_config
@@ -564,9 +565,10 @@ def test_key_and_drive_computed_at_most_once_per_state(kind, monkeypatch):
         keyed.append(state)  # holds the state, so ids stay unique
         return key(self, state)
 
-    monkeypatch.setattr(runner_mod, "step_factored", counting(runner_mod.step_factored, "states"))
-    monkeypatch.setattr(runner_mod, "reset", counting(runner_mod.reset, "states"))
-    monkeypatch.setattr(runner_mod, "respawn", counting(runner_mod.respawn, "respawns"))
+    # The run steps through `blanket.rollout`, which calls these.
+    monkeypatch.setattr(blanket_mod, "step_factored", counting(blanket_mod.step_factored, "states"))
+    monkeypatch.setattr(blanket_mod, "reset", counting(blanket_mod.reset, "states"))
+    monkeypatch.setattr(blanket_mod, "respawn", counting(blanket_mod.respawn, "respawns"))
     monkeypatch.setattr(runner_mod, "drive", counted_drive)
     monkeypatch.setattr(agents_mod, "drive_and_deficit", counted_drive_and_deficit)
     monkeypatch.setattr(agents_mod.Discretizer, "key", recorded_key)
@@ -582,8 +584,10 @@ def test_key_and_drive_computed_at_most_once_per_state(kind, monkeypatch):
     assert drives[0] <= distinct
     if kind in ("HomeostaticQ", "Neuromod"):
         assert len(keyed) >= made["states"]
-    if kind != "Random":
         assert drives[0] >= made["states"]  # the agent's drives are the ones counted
+    if kind == "ExternalRewardQ":
+        # It learns from the external reward: only the logged steps need a drive.
+        assert drives[0] <= 2 * cfg.run.eval_steps
 
 
 @pytest.mark.parametrize("kind", ["ExternalRewardQ", "HomeostaticQ", "Neuromod"])

@@ -371,8 +371,8 @@ def test_collect_symbolizes_each_internal_state_once(monkeypatch, make_env, coup
     respawns = len(calls["respawned_at"])
     assert respawns > 0
     assert steps < calls["binned"] <= steps + 1 + respawns
-    n_seasons = len(env.grid.seasons)
-    assert set((ds.y % n_seasons).tolist()) == set(range(n_seasons))  # every season, y's lowest digit
+    g = env.grid
+    assert set((ds.y // (g.rows * g.cols * len(Tag))).tolist()) == set(range(len(g.seasons)))  # y's top digit
     _assert_reference(ds, env, steps, 3, disc)
 
 

@@ -10,7 +10,7 @@ import pytest
 from interoai.agents import AgentConfig
 from interoai.blanket import CmiVerdict
 from interoai.envs import GridSpec, HomeoGridEnv
-from interoai.errors import ConfigError
+from interoai.errors import ConfigError, RuntimeFailure
 from interoai.harness.cli import main
 from interoai.harness.config import (
     BlanketSettings,
@@ -439,6 +439,72 @@ def test_random_run_computes_the_drive_only_for_recorded_steps(monkeypatch):
     log = execute_run(parse_config(doc), 0).log
     assert len(log.steps) == 50
     assert 0 < calls[0] <= 2 * 50
+
+
+@pytest.mark.parametrize("method", ["act", "learn"])
+@pytest.mark.parametrize("failing_step", [0, 7, 499])
+def test_a_failing_step_is_named_by_the_runtime_failure(quick_cfg, monkeypatch, method, failing_step):
+    # `act` runs inside the step loop's policy call, `learn` after the step.
+    from interoai.agents import TabularQAgent
+
+    real = getattr(TabularQAgent, method)
+    calls = [0]
+
+    def failing(self, *args):
+        if calls[0] == failing_step:
+            raise ValueError("broken on purpose")
+        calls[0] += 1
+        return real(self, *args)
+
+    monkeypatch.setattr(TabularQAgent, method, failing)
+    assert quick_cfg.run.train_steps + quick_cfg.run.eval_steps == 500
+    with pytest.raises(RuntimeFailure, match=rf"^run seed=0 failed at step {failing_step}: broken on purpose$"):
+        execute_run(quick_cfg, 0)
+
+
+def _reference_deaths(cfg, seed: int, steps: int) -> list[bool]:
+    """Whether the body dies at each step of a Random run, from a hand-rolled loop.
+
+    The survival rule is spelled out here: a death is a trailing run of
+    out-of-zone bodies longer than the grace window, and it respawns a
+    fresh body without touching the world clock.
+    """
+    from interoai.core import ACTIONS, step_factored
+    from interoai.envs import reset, respawn, transition_maps
+    from interoai.homeostat import in_viability
+    from interoai.rng import BlockStream
+
+    env, dm = cfg.env, cfg.env.drive_model
+    model = transition_maps(env)
+    rng_env, rng_agent = BlockStream(seed, 0, "env"), BlockStream(seed, 0, "agent")
+    state = reset(env, seed)
+    out_of_zone = 0
+    deaths = []
+    for _ in range(steps):
+        action = ACTIONS[int(rng_agent.integers(0, len(ACTIONS)))]
+        state = step_factored(model, state, action, rng_env)
+        out_of_zone = 0 if in_viability(dm, state.internal) else out_of_zone + 1
+        deaths.append(out_of_zone > dm.grace_steps)
+        if deaths[-1]:
+            state = respawn(env, state)
+            out_of_zone = 0
+    return deaths
+
+
+def test_terminal_and_episodes_follow_the_reference_deaths():
+    doc = quick_config_doc(seeds=[0])
+    doc["agent"]["kind"] = "Random"
+    eval_steps = 50
+    deaths = _reference_deaths(parse_config(quick_config_doc(seeds=[0])), 0, 800)
+    last_dead = next(t for t in range(eval_steps, len(deaths)) if deaths[t])
+    last_alive = next(t for t in range(eval_steps, len(deaths)) if not deaths[t])
+    for last, terminal in ((last_dead, "Dead"), (last_alive, "Alive")):
+        doc["run"].update(train_steps=last + 1 - eval_steps, eval_steps=eval_steps)
+        log = execute_run(parse_config(doc), 0).log
+        assert log.terminal == terminal
+        first = last + 1 - eval_steps
+        assert [r.t for r in log.steps] == list(range(first, last + 1))
+        assert [r.episode for r in log.steps] == [sum(deaths[:t]) for t in range(first, last + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import importlib.util
 import json
 from pathlib import Path
 
-from interoai import core
+from interoai import core, envs
 from interoai.harness import cli, config, runner
 
 BENCH_TRACE = Path(__file__).resolve().parents[1] / "bench" / "bench_trace.py"
@@ -22,7 +22,16 @@ def _load_bench_trace():
     return module
 
 
-def test_tracer_sees_every_step_of_a_run_and_a_verification(quick_cfg):
+def test_tracer_sees_every_step_of_a_run_and_a_verification(quick_cfg, monkeypatch):
+    deaths = [0]
+    update = envs.SurvivalTracker.update
+
+    def counted_update(self, ok):
+        status = update(self, ok)
+        deaths[0] += status is envs.Status.Dead
+        return status
+
+    monkeypatch.setattr(envs.SurvivalTracker, "update", counted_update)
     bench_trace = _load_bench_trace()
     rec = bench_trace.SpanRecorder()
     uninstall = bench_trace.install(rec)
@@ -37,6 +46,9 @@ def test_tracer_sees_every_step_of_a_run_and_a_verification(quick_cfg):
         calls[rec.names[name_id]] += 1
     assert calls["core.step_factored"] == steps
     assert calls["envs.SurvivalTracker.update"] == steps
+    assert calls["homeostat.in_viability"] == steps
+    assert deaths[0] > 0
+    assert calls["envs.respawn"] == deaths[0]
     assert calls["harness.runner.execute_run"] == 1
     assert calls["harness.runner.verify_blanket"] == 1
     assert runner.step_factored is core.step_factored  # uninstalled again
