@@ -281,7 +281,6 @@ class AgentConfig:
 class RandomAgent:
     """Uniform action choice; never learns."""
 
-    kind = "Random"
     last_signals: ModulationSignals | None = None
 
     def act(self, state: FactoredState, rng: np.random.Generator) -> Action:
@@ -297,9 +296,9 @@ class TabularQAgent:
     What the agent derives from a state -- observation key, drive and
     modulation signals -- is computed once per state (ExternalRewardQ, which
     learns from the external reward, computes no drive).  States are immutable,
-    so the facts of the last two states seen are kept and matched by
-    identity: in the step loop `learn(state, a, nxt)` derives the facts of
-    `nxt`, and `act(nxt)` and the runner's `drive_of(nxt)` reuse them.
+    so the facts of the last state seen are kept in one slot and matched by
+    identity: in the step loop `act(state)` fills it, `learn(state, a, nxt)`
+    reads it and refills it with the facts of `nxt`, and `act(nxt)` reuses them.
     """
 
     def __init__(
@@ -309,7 +308,6 @@ class TabularQAgent:
         disc: Discretizer,
         neuromod: NeuromodConfig | None = None,
     ):
-        self.kind = cfg.kind
         self.cfg = cfg
         self.dm = dm
         self.disc = disc
@@ -320,28 +318,20 @@ class TabularQAgent:
         self._fixed_signals = None if cfg.kind == "Neuromod" else ModulationSignals(cfg.tau, 1.0, 0)
         self._state: FactoredState | None = None
         self._facts_of_state: tuple | None = None
-        self._prev: FactoredState | None = None
-        self._facts_of_prev: tuple | None = None
 
     # -- per-state facts -------------------------------------------------------
 
     def _facts(self, state: FactoredState) -> tuple[ObsKey, float | None, ModulationSignals]:
-        """(observation key, drive, signals) of `state`, from memo if it is recent."""
+        """(observation key, drive, signals) of `state`, from memo if it was the last asked."""
         if state is self._state:
             return self._facts_of_state
-        if state is self._prev:
-            return self._facts_of_prev
         if self._external_only:
             facts = (self.disc.external_features(state), None, self._fixed_signals)
         else:
             d, deficit = drive_and_deficit(self.dm, state.internal)
             facts = (self.disc.key(state), d, self._fixed_signals or modulate(self.neuromod, d, deficit))
-        self._prev, self._facts_of_prev = self._state, self._facts_of_state
         self._state, self._facts_of_state = state, facts
         return facts
-
-    def drive_of(self, state: FactoredState) -> float | None:
-        return self._facts(state)[1]
 
     def table_for(self, context_id: int) -> QTable:
         table = self.tables.get(context_id)

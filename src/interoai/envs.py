@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace as dc_replace
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -60,6 +60,16 @@ class SeasonSpec:
     placements: tuple[tuple[int, int, Tag], ...]
 
 
+class SeasonGrids(NamedTuple):
+    """One season's resource map, noise-free ambient field, that field's
+    read-only array, and the external state of every cell over those grids."""
+
+    tags: tuple[tuple[Tag, ...], ...]
+    field: tuple[tuple[float, ...], ...]
+    base: np.ndarray
+    states: tuple[tuple[ExternalState, ...], ...]
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Grid geometry and per-season content.  Walls block movement."""
@@ -70,6 +80,34 @@ class GridSpec:
     seasons: tuple[SeasonSpec, ...]
     noise_std: float = 0.0
     shade_delta: float = 8.0
+
+    @cached_property
+    def table(self) -> tuple[SeasonGrids, ...]:
+        """Every season's grids and cell states, built once per spec object."""
+        table = []
+        for s_idx, season in enumerate(self.seasons):
+            cells = [[Tag.Empty] * self.cols for _ in range(self.rows)]
+            for r, c, tag in season.placements:
+                cells[r][c] = tag
+            tags = tuple(tuple(row) for row in cells)
+            shaded = season.baseline - self.shade_delta
+            field = tuple(
+                tuple(shaded if tag == Tag.Shade else season.baseline for tag in row) for row in tags
+            )
+            base = np.array(field, dtype=np.float64)
+            base.flags.writeable = False
+            states = tuple(
+                tuple(ExternalState((r, c), tags, field, s_idx) for c in range(self.cols))
+                for r in range(self.rows)
+            )
+            table.append(SeasonGrids(tags, field, base, states))
+        return tuple(table)
+
+    def __getstate__(self) -> dict:
+        """The fields without `table`, so a copy or another process builds its own read-only one."""
+        state = dict(self.__dict__)
+        state.pop("table", None)
+        return state
 
 
 @dataclass(frozen=True)
@@ -146,63 +184,16 @@ def validate_env(env: HomeoGridEnv) -> None:
         raise ConfigError("drive model must be 3-dimensional (energy, hydration, core_temp)")
 
 
-class SeasonGrids(NamedTuple):
-    """One season's resource map, noise-free ambient field, that field's
-    read-only array, and the external state of every cell over those grids."""
+def _noisy_fields(base: np.ndarray, noise: np.ndarray, noise_std: float) -> np.ndarray:
+    """`base` plus the normal draws `noise`, broadcast against each other.
 
-    tags: tuple[tuple[Tag, ...], ...]
-    field: tuple[tuple[float, ...], ...]
-    base: np.ndarray
-    states: tuple[tuple[ExternalState, ...], ...]
-
-
-@lru_cache(maxsize=None)
-def _season_grids(grid: GridSpec) -> tuple[SeasonGrids, ...]:
-    """Every season's grids and cell states, built once per grid spec."""
-    table = []
-    for s_idx, season in enumerate(grid.seasons):
-        cells = [[Tag.Empty] * grid.cols for _ in range(grid.rows)]
-        for r, c, tag in season.placements:
-            cells[r][c] = tag
-        tags = tuple(tuple(row) for row in cells)
-        shaded = season.baseline - grid.shade_delta
-        field = tuple(
-            tuple(shaded if tag == Tag.Shade else season.baseline for tag in row) for row in tags
-        )
-        base = np.array(field, dtype=np.float64)
-        base.flags.writeable = False
-        states = tuple(
-            tuple(ExternalState((r, c), tags, field, s_idx) for c in range(grid.cols))
-            for r in range(grid.rows)
-        )
-        table.append(SeasonGrids(tags, field, base, states))
-    return tuple(table)
-
-
-class _NoisyFields:
-    """The noisy ambient fields over a block of normal draws, one per row.
-
-    The block is clipped once, so a pathological draw cannot push a field
-    to +-inf downstream.  A season's base is added to the whole clipped
-    block the first time that season asks: one IEEE double add per cell,
-    exactly as a per-cell Python add would do, so a row is bitwise the field
-    built from that row's draw alone.
+    The draws are clipped once, so a pathological draw cannot push a field
+    to +-inf downstream; then one IEEE double add per cell, exactly as a
+    per-cell Python add would do, so each field is bitwise the one built
+    from its own draw alone.
     """
-
-    __slots__ = ("noise", "_clipped", "_fields")
-
-    def __init__(self, noise: np.ndarray, noise_std: float):
-        bound = 6.0 * noise_std
-        self.noise = noise
-        self._clipped = noise.clip(-bound, bound)
-        self._fields: dict[int, np.ndarray] = {}
-
-    def field(self, season: int, base: np.ndarray, row: int) -> tuple[tuple[float, ...], ...]:
-        """Row `row`'s field over `base`, the base of season `season`."""
-        fields = self._fields.get(season)
-        if fields is None:
-            fields = self._fields[season] = base + self._clipped
-        return tuple(map(tuple, fields[row].tolist()))
+    bound = 6.0 * noise_std
+    return base + noise.clip(-bound, bound)
 
 
 def _noisy_field(
@@ -210,35 +201,12 @@ def _noisy_field(
 ) -> tuple[tuple[float, ...], ...]:
     """`base` plus one clipped normal draw per cell."""
     noise = rng.normal(0.0, noise_std, size=base.shape)
-    return _NoisyFields(noise[np.newaxis], noise_std).field(0, base, 0)
+    return tuple(map(tuple, _noisy_fields(base, noise, noise_std).tolist()))
 
 
 def advance_season(schedule: SeasonSchedule, t: int) -> int:
     """Season index active at step t."""
     return schedule.order[(t // schedule.period) % len(schedule.order)]
-
-
-# The grid spec asked for last and its table, so that asking again (every
-# respawn does) costs an identity check instead of hashing the spec.
-_last_table: tuple[GridSpec | None, tuple[SeasonGrids, ...]] = (None, ())
-
-
-def _table(grid: GridSpec) -> tuple[SeasonGrids, ...]:
-    """`_season_grids(grid)`, found without hashing a spec asked for last."""
-    global _last_table
-    last, table = _last_table
-    if last is not grid:
-        table = _season_grids(grid)
-        _last_table = (grid, table)
-    return table
-
-
-def season_snapshot(
-    env: HomeoGridEnv, season: int
-) -> tuple[tuple[tuple[Tag, ...], ...], tuple[tuple[float, ...], ...]]:
-    """Resource map and noise-free ambient field of one season."""
-    grids = _table(env.grid)[season]
-    return grids.tags, grids.field
 
 
 def _fresh_body(env: HomeoGridEnv, tags, field, season: int, t: int) -> FactoredState:
@@ -247,7 +215,7 @@ def _fresh_body(env: HomeoGridEnv, tags, field, season: int, t: int) -> Factored
     A built season's world starts from the table's own start-cell state.
     """
     r, c = env.grid.start
-    table = _table(env.grid)
+    table = env.grid.table
     if 0 <= season < len(table) and table[season].field is field and table[season].tags is tags:
         external = table[season].states[r][c]
     else:
@@ -265,7 +233,7 @@ def _fresh_body(env: HomeoGridEnv, tags, field, season: int, t: int) -> Factored
 def reset(env: HomeoGridEnv, seed: int) -> FactoredState:
     """Initial state: internal at the set point, agent at the start cell, season 0 phase."""
     season = advance_season(env.schedule, 0)
-    grids = _table(env.grid)[season]
+    grids = env.grid.table[season]
     field = grids.field
     if env.grid.noise_std > 0.0:
         field = _noisy_field(grids.base, env.grid.noise_std, stream(seed, 0, "env-reset"))
@@ -289,14 +257,13 @@ def transition_maps(env: HomeoGridEnv) -> TransitionModel:
     c_e, c_h, kappa, lam = env.c_e, env.c_h, env.kappa, env.leak
     schedule = env.schedule
 
-    # Bound once so a step does not hash the grid spec.
-    season_grids = _table(grid)
+    season_grids = grid.table
     noise_std = grid.noise_std
     shape = season_grids[0].base.shape
+    bases = np.stack([g.base for g in season_grids])
     consume = Action.Consume
-    # The fields of the block stream's current block, built on its first
-    # draw; a draw from any other block replaces them.
-    noisy: list[_NoisyFields | None] = [None]
+    # The block stream's current block and its fields, `[row, season]`.
+    block_held = fields = None
 
     def moved(pos: tuple[int, int], action: Action) -> tuple[int, int]:
         step = _MOVES.get(action)
@@ -363,17 +330,16 @@ def transition_maps(env: HomeoGridEnv) -> TransitionModel:
         rng: np.random.Generator | BlockStream,
         t_next: int,
     ) -> ExternalState:
+        nonlocal block_held, fields
         season = advance_season(schedule, t_next)
         if noise_std > 0.0:
             grids = season_grids[season]
             if isinstance(rng, BlockStream):
                 block, row = rng.normal_block(0.0, noise_std, shape)
-                fields = noisy[0]
-                if fields is None or fields.noise is not block:
-                    fields = noisy[0] = _NoisyFields(block, noise_std)
-                field = fields.field(season, grids.base, row)
-                if row == len(block) - 1:
-                    noisy[0] = None  # the block is used up: free its fields before the next is drawn
+                if block is not block_held:
+                    block_held, fields = block, None  # free the used-up block's fields first
+                    fields = _noisy_fields(bases, block[:, np.newaxis], noise_std)
+                field = tuple(map(tuple, fields[row, season].tolist()))
             else:
                 field = _noisy_field(grids.base, noise_std, rng)
             return ExternalState(moved(external.agent_pos, action), grids.tags, field, season)
@@ -387,8 +353,6 @@ def transition_maps(env: HomeoGridEnv) -> TransitionModel:
         pos = moved(external.agent_pos, action)
         if season != external.season:
             tags, field = season_grids[season].tags, season_grids[season].field
-        elif pos == external.agent_pos:
-            return external  # nothing changed, and states are immutable
         else:
             tags, field = external.resource_map, external.ambient_field
         return ExternalState(agent_pos=pos, resource_map=tags, ambient_field=field, season=season)

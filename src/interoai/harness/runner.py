@@ -36,7 +36,6 @@ from ..blanket import (
 from ..core import (  # noqa: F401
     ACTIONS,
     BoundaryState,
-    ExternalState,
     FactoredState,
     InternalState,
     step_factored,
@@ -49,7 +48,6 @@ from ..envs import (  # noqa: F401
     make_coupled_variant,
     reset,
     respawn,
-    season_snapshot,
     transition_maps,
 )
 from ..errors import ConfigError, RuntimeFailure
@@ -80,16 +78,12 @@ def execute_run(config: ExperimentConfig, seed: int) -> RunResult:
     agent = make_agent(config.agent, dm, config.discretizer, config.neuromod)
     walk = rollout(env, agent.act, seed, "agent", "env")
 
-    # A drive learner knows the drive of every state it saw; others' are computed when logged.
-    drive_of = (
-        agent.drive_of if agent.kind in ("HomeostaticQ", "Neuromod") else lambda s: drive(dm, s.internal)
-    )
-
     records: list[StepRecord] = []
     episode = 0
     record_from = config.run.train_steps
     total = record_from + config.run.eval_steps
     dead = False
+    d_next = None  # the drive of the last logged `nxt`, while it is the next step's state
     step = -1
     try:
         for step in range(total):
@@ -97,7 +91,8 @@ def execute_run(config: ExperimentConfig, seed: int) -> RunResult:
             agent.learn(state, action, nxt)
             if step >= record_from:
                 sig = agent.last_signals
-                d_next = drive_of(nxt)
+                d = drive(dm, state.internal) if d_next is None else d_next
+                d_next = drive(dm, nxt.internal)
                 pos = nxt.external.agent_pos
                 energy, hydration, core_temp = nxt.internal.values
                 records.append(
@@ -112,13 +107,15 @@ def execute_run(config: ExperimentConfig, seed: int) -> RunResult:
                         hydration=hydration,
                         core_temp=core_temp,
                         action=action.name,
-                        reward=drive_of(state) - d_next,
+                        reward=d - d_next,
                         drive=d_next,
                         in_viability=ok,
                         tau=sig.temperature if sig is not None else None,
                         context_id=sig.context_id if sig is not None else None,
                     )
                 )
+                if dead:  # the next step starts from a respawned body, not from `nxt`
+                    d_next = None
             episode += dead
     except ConfigError:
         raise
@@ -157,16 +154,13 @@ def probe_entropies(
     if not dm.viability:
         return []
     satiated, deficit = probe_internal_states(env)
-    season = env.schedule.order[0]
-    tags, field = season_snapshot(env, season)
+    grids = env.grid.table[env.schedule.order[0]]
     rng = BlockStream(seed, 0, "probe")
     out = []
     for r in range(env.grid.rows):
         for c in range(env.grid.cols):
-            external = ExternalState(
-                agent_pos=(r, c), resource_map=tags, ambient_field=field, season=season
-            )
-            boundary = BoundaryState(sensed_ambient=field[r][c], flux_food=0.0, flux_water=0.0)
+            external = grids.states[r][c]
+            boundary = BoundaryState(sensed_ambient=grids.field[r][c], flux_food=0.0, flux_water=0.0)
             cell_entropy = []
             for internal in (satiated, deficit):
                 probe = FactoredState(internal=internal, boundary=boundary, external=external, t=0)

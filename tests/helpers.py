@@ -53,11 +53,9 @@ def make_tiny_env(**overrides) -> HomeoGridEnv:
 
 def all_external_states(env: HomeoGridEnv):
     """Every schema-valid external state of `env`: season layouts x positions."""
-    from interoai.envs import season_snapshot
-
     out = []
-    for season in range(len(env.grid.seasons)):
-        tags, field = season_snapshot(env, season)
+    for season, grids in enumerate(env.grid.table):
+        tags, field = grids.tags, grids.field
         for r in range(env.grid.rows):
             for c in range(env.grid.cols):
                 out.append(

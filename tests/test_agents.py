@@ -542,7 +542,7 @@ def test_key_and_drive_computed_at_most_once_per_state(kind, monkeypatch):
     cfg = parse_config(doc)
     made = {"states": 0, "respawns": 0}
     keyed = []
-    drives = [0]  # calls of drive and of drive_and_deficit
+    drives = {"agent": 0, "runner": 0}  # the agent's drive_and_deficit calls, the runner's drive calls
 
     def counting(fn, counter):
         def wrapper(*args, **kwargs):
@@ -552,11 +552,11 @@ def test_key_and_drive_computed_at_most_once_per_state(kind, monkeypatch):
         return wrapper
 
     def counted_drive(dm, h):
-        drives[0] += 1
+        drives["runner"] += 1
         return drive(dm, h)
 
     def counted_drive_and_deficit(dm, h):
-        drives[0] += 1
+        drives["agent"] += 1
         return drive_and_deficit(dm, h)
 
     key = agents_mod.Discretizer.key
@@ -581,13 +581,15 @@ def test_key_and_drive_computed_at_most_once_per_state(kind, monkeypatch):
     keyed_once = len({id(s) for s in keyed})
     assert keyed_once == len(keyed)
     assert len(keyed) <= distinct
-    assert drives[0] <= distinct
+    assert drives["agent"] <= distinct
+    assert drives["runner"] <= distinct
     if kind in ("HomeostaticQ", "Neuromod"):
         assert len(keyed) >= made["states"]
-        assert drives[0] >= made["states"]  # the agent's drives are the ones counted
+        assert drives["agent"] >= made["states"]
     if kind == "ExternalRewardQ":
         # It learns from the external reward: only the logged steps need a drive.
-        assert drives[0] <= 2 * cfg.run.eval_steps
+        assert drives["agent"] == 0
+        assert drives["agent"] + drives["runner"] <= 2 * cfg.run.eval_steps
 
 
 @pytest.mark.parametrize("kind", ["ExternalRewardQ", "HomeostaticQ", "Neuromod"])
@@ -620,7 +622,7 @@ def test_memoized_agent_matches_a_fresh_one_on_states_out_of_order(kind):
         a = memo.act(s, rng_memo)
         assert fresh.act(copy_of(s), rng_fresh) == a
         assert memo.last_signals == fresh.last_signals
-        assert memo.drive_of(nxt) == fresh.drive_of(copy_of(nxt))
+        assert memo._facts(nxt)[1] == fresh._facts(copy_of(nxt))[1]
         memo.learn(s, a, nxt)
         fresh.learn(copy_of(s), a, copy_of(nxt))
         assert policy(memo, s) == policy(fresh, copy_of(s))

@@ -516,9 +516,9 @@ def test_collect_retains_under_3_mib_at_20k_steps():
 
 @pytest.mark.parametrize("steps", [20_000, 100_000])
 def test_collect_transient_memory_stays_under_1_mib(steps):
-    # Raw facts are buffered and symbolized a block at a time, and a noisy
-    # field block is freed once used up, so what a collection holds beyond
-    # its result does not grow with `steps`.
+    # Raw facts are buffered and symbolized a block at a time, and a block's
+    # noisy fields are freed when the next block is drawn, so what a
+    # collection holds beyond its result does not grow with `steps`.
     settings_ = parse_config(default_config()).blanket
     env, disc = settings_.env, settings_.discretizer
     collect_transitions(env, uniform_random_policy, 100, 0, disc)  # fill the env's caches first

@@ -14,7 +14,6 @@ from interoai.envs import (
     make_coupled_variant,
     reset,
     respawn,
-    season_snapshot,
     transition_maps,
 )
 from interoai.errors import ConfigError
@@ -37,7 +36,7 @@ def test_reset_deterministic_and_at_set_point():
 def test_reset_resources_match_season_zero():
     env = make_tiny_env()
     state = reset(env, 0)
-    tags, _ = season_snapshot(env, env.schedule.order[0])
+    tags = env.grid.table[env.schedule.order[0]].tags
     assert state.external.resource_map == tags
     placements = {(r, c): tag for r, c, tag in env.grid.seasons[0].placements}
     for (r, c), tag in placements.items():
@@ -81,7 +80,7 @@ def test_consume_on_water_gains_hydration():
 
 def test_shade_cell_is_cooler():
     env = make_tiny_env()
-    tags, field = season_snapshot(env, 0)
+    tags, field = env.grid.table[0].tags, env.grid.table[0].field
     assert tags[0][2] == Tag.Shade
     assert field[0][2] == env.grid.seasons[0].baseline - env.grid.shade_delta
 
@@ -234,13 +233,13 @@ def test_noisy_ambient_field_equals_per_cell_sums_bitwise():
     # double a per-cell Python add of base and clipped noise gives.
     import numpy as np
 
-    from interoai.envs import _noisy_field, _season_grids
+    from interoai.envs import _noisy_field
 
     env = make_tiny_env()
     grid = dataclasses.replace(env.grid, noise_std=3.0)
     for season in range(len(grid.seasons)):
-        base = season_snapshot(dataclasses.replace(env, grid=grid), season)[1]
-        table_base = _season_grids(grid)[season].base
+        base = grid.table[season].field
+        table_base = grid.table[season].base
         for seed in range(20):
             field = _noisy_field(table_base, 3.0, stream(seed, 0, "field"))
             noise = stream(seed, 0, "field").normal(0.0, 3.0, size=(grid.rows, grid.cols))
@@ -259,12 +258,12 @@ def test_noisy_fields_built_per_block_equal_per_step_fields_bitwise():
     # f_e fed by a block stream builds a block's fields at once; each must be
     # the very field `_noisy_field` builds from the same draw of a plain
     # stream.  A period of 300 switches season inside the blocks.
-    from interoai.envs import _noisy_field, _season_grids
+    from interoai.envs import _noisy_field
     from interoai.rng import BLOCK, BlockStream
 
     env = make_tiny_env(schedule=SeasonSchedule(period=300, order=(0, 1)))
     env = dataclasses.replace(env, grid=dataclasses.replace(env.grid, noise_std=3.0))
-    bases = [g.base for g in _season_grids(env.grid)]
+    bases = [g.base for g in env.grid.table]
     model = transition_maps(env)
     blocked, plain = BlockStream(5, 0, "blanket-env"), stream(5, 0, "blanket-env")
     state = reset(env, 0)
@@ -300,6 +299,24 @@ def test_respawn_does_not_hash_the_grid_spec(monkeypatch):
         assert hashed == []
 
 
+def test_a_copied_grid_spec_builds_its_own_read_only_table():
+    # The table is built per spec object and stays out of pickles and
+    # copies: a copy equals its original and builds its table when asked.
+    import copy
+    import pickle
+
+    env = make_tiny_env()
+    unused = dataclasses.replace(env.grid)
+    transition_maps(env)
+    assert "table" in vars(env.grid)
+    assert pickle.dumps(env.grid) == pickle.dumps(unused)
+    for clone in (pickle.loads(pickle.dumps(env.grid)), copy.deepcopy(env.grid)):
+        assert clone == env.grid
+        assert "table" not in vars(clone)
+        assert [g.tags for g in clone.table] == [g.tags for g in env.grid.table]
+        assert not clone.table[0].base.flags.writeable
+
+
 def test_noise_free_step_in_place_returns_the_same_external_state():
     env = make_tiny_env()
     model = transition_maps(env)
@@ -317,9 +334,7 @@ def test_noise_free_step_in_place_returns_the_same_external_state():
 
 
 def _table_states(env):
-    from interoai.envs import _season_grids
-
-    return [g.states for g in _season_grids(env.grid)]
+    return [g.states for g in env.grid.table]
 
 
 def test_noise_free_world_hands_out_its_table_states():

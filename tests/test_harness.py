@@ -441,6 +441,29 @@ def test_random_run_computes_the_drive_only_for_recorded_steps(monkeypatch):
     assert 0 < calls[0] <= 2 * 50
 
 
+@pytest.mark.parametrize("kind", ["Random", "ExternalRewardQ", "HomeostaticQ", "Neuromod"])
+def test_each_logged_drive_is_computed_once(kind, monkeypatch):
+    # A logged step starts from the last logged step's `nxt`, whose drive is
+    # already known, unless that step died and a respawn replaced the body.
+    import interoai.harness.runner as runner_mod
+
+    doc = quick_config_doc(seeds=[0])
+    doc["agent"]["kind"] = kind
+    calls = [0]
+    real = runner_mod.drive
+
+    def counted(dm, h):
+        calls[0] += 1
+        return real(dm, h)
+
+    monkeypatch.setattr(runner_mod, "drive", counted)
+    log = execute_run(parse_config(doc), 0).log
+    steps = log.steps
+    deaths = steps[-1].episode - steps[0].episode + (log.terminal == "Dead")
+    assert len(steps) == doc["run"]["eval_steps"]
+    assert len(steps) <= calls[0] <= len(steps) + 1 + deaths
+
+
 @pytest.mark.parametrize("method", ["act", "learn"])
 @pytest.mark.parametrize("failing_step", [0, 7, 499])
 def test_a_failing_step_is_named_by_the_runtime_failure(quick_cfg, monkeypatch, method, failing_step):

@@ -9,6 +9,9 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
+from conftest import quick_config_doc
 from interoai import core, envs
 from interoai.harness import cli, config, runner
 
@@ -105,3 +108,30 @@ def test_tracer_sees_the_maps_of_every_step(quick_cfg):
     # A learner keys every state it steps from through the traced name.
     assert quick_cfg.agent.kind == "HomeostaticQ"
     assert names.count("agents.Discretizer.key") >= steps
+
+
+@pytest.mark.parametrize("kind", ["HomeostaticQ", "Neuromod"])
+def test_tracer_sees_every_logged_drive_of_a_drive_learner(kind, monkeypatch):
+    # The runner computes the drive of the steps it logs through the name
+    # the tracer wraps as `homeostat.drive`.
+    doc = quick_config_doc(seeds=[0])
+    doc["agent"]["kind"] = kind
+    cfg = config.parse_config(doc)
+    drives = [0]
+    drive = runner.drive
+
+    def counted_drive(dm, h):
+        drives[0] += 1
+        return drive(dm, h)
+
+    monkeypatch.setattr(runner, "drive", counted_drive)
+    bench_trace = _load_bench_trace()
+    rec = bench_trace.SpanRecorder()
+    uninstall = bench_trace.install(rec)
+    try:
+        runner.execute_run(cfg, 0)
+    finally:
+        uninstall()
+    names = [rec.names[i] for i in rec.name_id]
+    assert drives[0] > 0
+    assert names.count("homeostat.drive") == drives[0]
