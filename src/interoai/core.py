@@ -19,15 +19,16 @@ conditional independence of i_{t+1} and e_t given (i_t, b_t, a_t) exact
 rather than approximate, which is what the blanket verifier tests.
 
 Only f_e consumes randomness; f_b and f_i are deterministic.  All state
-types are immutable values, so stepping never mutates its inputs and is
-safe to run from many threads as long as each run owns its generator.
+types are immutable values, so stepping never mutates its inputs, and a
+model swaps what it keeps between calls as one value: stepping is safe to
+run from many threads as long as each run owns its generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
-from typing import Callable, Mapping, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -122,6 +123,7 @@ class StateSchema:
     internal_dim: int
     rows: int
     cols: int
+    seasons: int
 
 
 @dataclass(frozen=True)
@@ -131,11 +133,10 @@ class TransitionModel:
     `internal_leak` replaces `f_i` when set.  The factored build keeps it
     None so the internal update cannot read the external state at all.
 
-    `built` maps `id(obj)` to each object the env built to fit the schema:
-    every season's grids, and the external state of every cell over them.
-    `check_schema` trusts exactly those objects; it scans every other grid
-    and bounds-checks every other state's cell.  Holding the objects keeps
-    their ids from reuse.
+    `states[season][row][col]` is the external state the env built for
+    each cell in each season, over that season's grids; empty for a model
+    built without a table.  `check_schema` trusts a state whole when it is
+    its own table entry, and skips a grid that is that entry's grid.
     """
 
     f_b: FBoundary
@@ -143,7 +144,7 @@ class TransitionModel:
     f_e: FExternal
     schema: StateSchema
     internal_leak: Optional[FInternalLeak] = None
-    built: Mapping[int, object] = field(default_factory=dict, repr=False, compare=False)
+    states: tuple = field(default=(), repr=False, compare=False)
 
 
 def _check_grid(grid, rows: int, cols: int, what: str) -> None:
@@ -164,23 +165,26 @@ def _check_pos(pos: tuple[int, int], rows: int, cols: int, what: str) -> None:
 def check_schema(model: TransitionModel, state: FactoredState) -> None:
     """Raise SchemaMismatch unless the state fits the model's schema.
 
-    An external state in `model.built` is trusted whole, and a grid in it
-    is not scanned; every other check runs on every call.
+    After the internal dimension, the cell and the season are checked, a state
+    that is `model.states[season][row][col]` passes, and a grid of it is not scanned.
     """
-    schema, built = model.schema, model.built
+    schema = model.schema
     if len(state.internal.values) != schema.internal_dim:
         raise SchemaMismatch(
             f"internal dimension {len(state.internal)} != schema {schema.internal_dim}"
         )
     ext = state.external
-    if built.get(id(ext)) is ext:
-        return
     _check_pos(ext.agent_pos, schema.rows, schema.cols, "agent_pos")
-    tags, ambient = ext.resource_map, ext.ambient_field
-    if built.get(id(tags)) is not tags:
-        _check_grid(tags, schema.rows, schema.cols, "resource_map")
-    if built.get(id(ambient)) is not ambient:
-        _check_grid(ambient, schema.rows, schema.cols, "ambient_field")
+    if not 0 <= ext.season < schema.seasons:
+        raise SchemaMismatch(f"season {ext.season} outside [0, {schema.seasons})")
+    r, c = ext.agent_pos
+    own = model.states[ext.season][r][c] if model.states else None
+    if own is ext:
+        return
+    if own is None or ext.resource_map is not own.resource_map:
+        _check_grid(ext.resource_map, schema.rows, schema.cols, "resource_map")
+    if own is None or ext.ambient_field is not own.ambient_field:
+        _check_grid(ext.ambient_field, schema.rows, schema.cols, "ambient_field")
 
 
 def internal_update(

@@ -142,7 +142,7 @@ class HomeoGridEnv:
 
     @property
     def schema(self) -> StateSchema:
-        return StateSchema(INTERNAL_DIM, self.grid.rows, self.grid.cols)
+        return StateSchema(INTERNAL_DIM, self.grid.rows, self.grid.cols, len(self.grid.seasons))
 
 
 def validate_env(env: HomeoGridEnv) -> None:
@@ -262,8 +262,9 @@ def transition_maps(env: HomeoGridEnv) -> TransitionModel:
     shape = season_grids[0].base.shape
     bases = np.stack([g.base for g in season_grids])
     consume = Action.Consume
-    # The block stream's current block and its fields, `[row, season]`.
-    block_held = fields = None
+    # The block stream's current block and its fields `[row, season]`: one slot,
+    # read once per call, so threads sharing the model never mix two blocks.
+    held = (None, None)
 
     def moved(pos: tuple[int, int], action: Action) -> tuple[int, int]:
         step = _MOVES.get(action)
@@ -282,22 +283,23 @@ def transition_maps(env: HomeoGridEnv) -> TransitionModel:
             flux_water=w_gain if consuming and tag == Tag.Water else 0.0,
         )
 
-    # id(table state) -> (that state, its boundary without and with
-    # consumption, its successor within its season after each action)
-    cells = {}
-    for grids in season_grids:
-        for row in grids.states:
-            for ext in row:
-                nexts = [moved(ext.agent_pos, a) for a in ACTIONS]
-                successors = tuple([grids.states[r][c] for r, c in nexts])
-                cells[id(ext)] = (ext, sense(ext, False), sense(ext, True), successors)
-    built = {id(g): g for s in season_grids for g in (s.tags, s.field)}
-    built.update((key, cell[0]) for key, cell in cells.items())
+    # Every table state `[season][row][col]`, its boundary without and with
+    # consumption, and the cell each action moves to `[row][col][action]`.
+    states = tuple(g.states for g in season_grids)
+    senses = tuple(
+        tuple(tuple((sense(ext, False), sense(ext, True)) for ext in row) for row in table)
+        for table in states
+    )
+    targets = tuple(
+        tuple(tuple(moved((r, c), a) for a in ACTIONS) for c in range(grid.cols))
+        for r in range(grid.rows)
+    )
 
     def f_b(internal: InternalState, external: ExternalState, action: Action) -> BoundaryState:
-        cell = cells.get(id(external))
-        if cell is not None and cell[0] is external:
-            return cell[2] if action == consume else cell[1]
+        s = external.season
+        r, c = external.agent_pos
+        if states[s][r][c] is external:
+            return senses[s][r][c][action == consume]
         return sense(external, action == consume)
 
     def f_i(internal: InternalState, boundary: BoundaryState, action: Action) -> InternalState:
@@ -330,26 +332,25 @@ def transition_maps(env: HomeoGridEnv) -> TransitionModel:
         rng: np.random.Generator | BlockStream,
         t_next: int,
     ) -> ExternalState:
-        nonlocal block_held, fields
+        nonlocal held
         season = advance_season(schedule, t_next)
         if noise_std > 0.0:
             grids = season_grids[season]
             if isinstance(rng, BlockStream):
                 block, row = rng.normal_block(0.0, noise_std, shape)
+                block_held, fields = held
                 if block is not block_held:
-                    block_held, fields = block, None  # free the used-up block's fields first
+                    held, fields = (None, None), None  # free the used-up block's fields first
                     fields = _noisy_fields(bases, block[:, np.newaxis], noise_std)
+                    held = (block, fields)
                 field = tuple(map(tuple, fields[row, season].tolist()))
             else:
                 field = _noisy_field(grids.base, noise_std, rng)
             return ExternalState(moved(external.agent_pos, action), grids.tags, field, season)
-        cell = cells.get(id(external))
-        if cell is not None and cell[0] is external:  # a table state steps to table states
-            nxt = cell[3][action]
-            if season == external.season:
-                return nxt
-            r, c = nxt.agent_pos
-            return season_grids[season].states[r][c]
+        r, c = external.agent_pos
+        if states[external.season][r][c] is external:  # a table state steps to table states
+            r, c = targets[r][c][action]
+            return states[season][r][c]
         pos = moved(external.agent_pos, action)
         if season != external.season:
             tags, field = season_grids[season].tags, season_grids[season].field
@@ -363,7 +364,7 @@ def transition_maps(env: HomeoGridEnv) -> TransitionModel:
         f_e=f_e,
         schema=env.schema,
         internal_leak=f_i_leak if lam > 0.0 else None,
-        built=built,
+        states=states,
     )
 
 

@@ -254,9 +254,10 @@ def test_a_table_state_is_trusted_whole_and_a_copy_is_checked(monkeypatch):
     monkeypatch.setattr(core, "_check_pos", spy)
     scanned = _record_grid_scans(monkeypatch)
     core.check_schema(model, state)
-    assert checked == [] and scanned == []
+    assert state.external is model.states[0][1][1]
+    assert checked == [(1, 1)] and scanned == []  # its cell is found by its bounds-checked position
     core.check_schema(model, _with_external(state))  # equal values, not the table's object
-    assert checked == [(1, 1)] and scanned == []  # its grids are still the built ones
+    assert checked == [(1, 1)] * 2 and scanned == []  # its grids are still the table state's
 
 
 def test_a_table_state_of_another_world_is_checked():
@@ -265,3 +266,13 @@ def test_a_table_state_of_another_world_is_checked():
     big_model = transition_maps(parse_config(default_config()).env)
     with pytest.raises(SchemaMismatch, match="resource_map"):
         step_factored(big_model, small, Action.Rest, stream(0, 0, "env"))
+
+
+@pytest.mark.parametrize("season", [7, -1, 2])
+def test_schema_rejects_a_season_the_world_does_not_have(season):
+    # The tiny world has two seasons; -1 must not index the last one.
+    env = make_tiny_env()
+    state = reset(env, 0)
+    bad = _with_external(state, season=season)
+    with pytest.raises(SchemaMismatch, match="season"):
+        step_factored(transition_maps(env), bad, Action.Rest, stream(0, 0, "env"))

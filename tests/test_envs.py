@@ -5,7 +5,16 @@ import math
 
 import pytest
 
-from interoai.core import Action, BoundaryState, InternalState, Tag, step_factored
+from interoai.core import (
+    ACTIONS,
+    Action,
+    BoundaryState,
+    FactoredState,
+    InternalState,
+    Tag,
+    check_schema,
+    step_factored,
+)
 from interoai.envs import (
     SeasonSchedule,
     Status,
@@ -17,8 +26,9 @@ from interoai.envs import (
     transition_maps,
 )
 from interoai.errors import ConfigError
+from interoai.harness.config import default_config, parse_config
 from interoai.homeostat import drive
-from interoai.rng import stream
+from interoai.rng import BLOCK, BlockStream, stream
 
 from helpers import make_tiny_env
 
@@ -396,3 +406,76 @@ def test_a_noisy_world_never_hands_out_a_table_state():
     seen.append(respawn(env, state).external)
     assert {s.season for s in seen} == {0, 1}
     assert not any(id(s) in table_ids for s in seen)
+
+
+@pytest.mark.parametrize(
+    "env",
+    [make_tiny_env(schedule=SeasonSchedule(period=3, order=(0, 1))), parse_config(default_config()).env],
+    ids=["tiny", "default"],
+)
+def test_every_table_step_fits_the_schema_and_lands_on_a_table_state(env):
+    # Every table state of every season under every action, stepped once
+    # inside its season and once across the switch out of it.
+    model = transition_maps(env)
+    internal = reset(env, 0).internal
+    period, order = env.schedule.period, env.schedule.order
+    rng = stream(0, 0, "env")
+    for season, table in enumerate(model.states):
+        first = order.index(season) * period
+        for t_next in (first + 1, first + period):
+            for row in table:
+                for external in row:
+                    for action in ACTIONS:
+                        boundary = model.f_b(internal, external, action)
+                        nxt = model.f_e(external, boundary, action, rng, t_next)
+                        check_schema(model, FactoredState(internal, boundary, nxt, t_next))
+                        assert nxt.season == advance_season(env.schedule, t_next)
+                        assert nxt is model.states[nxt.season][nxt.agent_pos[0]][nxt.agent_pos[1]]
+
+
+def test_a_noisy_worlds_draws_fit_the_schema_across_a_block_boundary():
+    env = parse_config(default_config()).blanket.env
+    model = transition_maps(env)
+    state = reset(env, 0)
+    internal, external = state.internal, state.external
+    rng = BlockStream(0, 0, "blanket-env")
+    for t in range(1, BLOCK + 50):  # one draw per step: the last 49 come from the second block
+        action = ACTIONS[t % len(ACTIONS)]
+        boundary = model.f_b(internal, external, action)
+        external = model.f_e(external, boundary, action, rng, t)
+        check_schema(model, FactoredState(internal, boundary, external, t))
+
+
+def test_threads_sharing_one_noisy_model_each_see_their_own_fields():
+    # Two runs step one model, each with its own block stream, while the
+    # interpreter switches threads as often as it can; each must see the
+    # very fields a serial run of its stream sees.
+    import sys
+    import threading
+
+    env = parse_config(default_config()).blanket.env
+    model = transition_maps(env)
+    start = reset(env, 0)
+
+    def run(seed, out):
+        rng = BlockStream(seed, 0, "blanket-env")
+        external = start.external
+        for t in range(1, 2 * BLOCK + 100):
+            external = model.f_e(external, start.boundary, ACTIONS[t % len(ACTIONS)], rng, t)
+            out.append(external.ambient_field)
+
+    serial = {seed: [] for seed in (1, 2)}
+    for seed, out in serial.items():
+        run(seed, out)
+    threaded = {seed: [] for seed in serial}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=item) for item in threaded.items()]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial

@@ -7,6 +7,7 @@ name the tracer patches, would otherwise break only traced benchmark runs.
 
 import importlib.util
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -89,18 +90,43 @@ def test_tracer_sees_the_cli_load_its_config(tmp_path, quick_doc):
     assert names.count("harness.cli.main") == 1
 
 
-def test_tracer_sees_the_maps_of_every_step(quick_cfg):
+@pytest.mark.parametrize("traced_run", ["execute_run", "verify_blanket"])
+def test_tracer_sees_the_maps_of_every_step(traced_run, quick_cfg, monkeypatch):
     # A step must reach f_b and f_e through the traced model, even when the
-    # state it steps is one the env built in advance.
+    # state it steps is one the env built in advance.  The traced model keeps
+    # the env's table states, so no step scans a resource map the env built.
+    scanned = []
+    check_grid = core._check_grid
+
+    def spy(grid, rows, cols, what):
+        scanned.append(what)
+        return check_grid(grid, rows, cols, what)
+
+    monkeypatch.setattr(core, "_check_grid", spy)
     bench_trace = _load_bench_trace()
     rec = bench_trace.SpanRecorder()
     uninstall = bench_trace.install(rec)
     try:
-        runner.execute_run(quick_cfg, 0)
+        if traced_run == "execute_run":
+            runner.execute_run(quick_cfg, 0)
+        else:
+            runner.verify_blanket(quick_cfg)
     finally:
         uninstall()
-    steps = quick_cfg.run.train_steps + quick_cfg.run.eval_steps
     names = [rec.names[i] for i in rec.name_id]
+    assert "resource_map" not in scanned
+    if traced_run == "verify_blanket":
+        # Both collections' steps; the Jacobian probe also calls f_e, outside a step.
+        steps = 2 * quick_cfg.blanket.steps
+        step = rec.names.index("core.step_factored")
+        in_steps = Counter(
+            rec.names[n] for n, p in zip(rec.name_id, rec.parent) if p >= 0 and rec.name_id[p] == step
+        )
+        assert names.count("core.step_factored") == steps
+        for name in ("core.check_schema", "envs.f_b", "envs.f_e"):
+            assert in_steps[name] == steps
+        return
+    steps = quick_cfg.run.train_steps + quick_cfg.run.eval_steps
     assert names.count("core.step_factored") == steps
     assert names.count("envs.f_b") == steps
     assert names.count("envs.f_i") == steps
