@@ -26,7 +26,7 @@ run from many threads as long as each run owns its generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import IntEnum
 from typing import Callable, Optional
 
@@ -58,6 +58,37 @@ class Tag(IntEnum):
     Shade = 3
 
 
+def _slot_init(cls: type) -> type:
+    """Give a frozen slots dataclass an `__init__` that fills each slot through
+    its member descriptor.
+
+    The dataclass's own frozen `__init__` calls `object.__setattr__` once per
+    field; the generated one takes the same parameters, in field order, and
+    calls each slot's `__set__` instead, which is the same store for less
+    lookup.  Equality, hashing, `repr`, `replace`, pickling and the frozen
+    `__setattr__` are the dataclass's own.  A class with a field default, a
+    field left out of `__init__` or a `__post_init__` is refused, so nothing
+    the dataclass's `__init__` would do is skipped.
+    """
+    if hasattr(cls, "__post_init__"):
+        raise TypeError(f"{cls.__name__} has a __post_init__ that _slot_init would skip")
+    names = []
+    for f in fields(cls):
+        if f.default is not MISSING or f.default_factory is not MISSING or not f.init:
+            raise TypeError(f"{cls.__name__}.{f.name} has a default or no parameter: _slot_init refuses it")
+        names.append(f.name)
+    setters = {f"_set_{name}": cls.__dict__[name].__set__ for name in names}
+    body = "".join(f"    _set_{name}(self, {name})\n" for name in names)
+    namespace: dict = {}
+    exec(f"def __init__(self, {', '.join(names)}):\n{body}", setters, namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    cls.__init__ = init
+    return cls
+
+
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class InternalState:
     """Physiological variables, e.g. (energy, hydration, core_temp)."""
@@ -68,6 +99,7 @@ class InternalState:
         return len(self.values)
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class BoundaryState:
     """What crosses the body surface: sensed ambient heat and ingestion flux."""
@@ -77,6 +109,7 @@ class BoundaryState:
     flux_water: float
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class ExternalState:
     """World state: agent position, per-cell resources and temperatures, season."""
@@ -93,6 +126,7 @@ class ExternalState:
         return self.ambient_field[pos[0]][pos[1]]
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class FactoredState:
     """The full simulator state at one time step."""
@@ -211,7 +245,8 @@ def step_factored(
     i, b, e = state.internal, state.boundary, state.external
     t = state.t + 1
     b_next = model.f_b(i, e, action)
-    i_next = internal_update(model, i, b, e, action)
+    leak = model.internal_leak  # `internal_update`, inline
+    i_next = model.f_i(i, b, action) if leak is None else leak(i, b, e, action)
     return FactoredState(i_next, b_next, model.f_e(e, b, action, rng, t), t)
 
 

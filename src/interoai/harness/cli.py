@@ -98,16 +98,39 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_logs_match_rows(metrics_path: Path, text: str, logs: list[Path]) -> None:
+    """Raise RuntimeFailure unless the logs are exactly one per seed row of `text`.
+
+    A sweep writes one log per seed and then the metrics table, so a log with
+    no row, or a row with no log, was left by another run or sweep.  The
+    summary rows carry a label, not a seed, under `seed`.
+    """
+    cells = (line.split(",", 1)[0] for line in text.splitlines()[1:])
+    row_seeds = {cell for cell in cells if cell.isdecimal()}
+    log_seeds = {path.name: path.stem.removeprefix("log_seed") for path in logs}
+    stray = [name for name, seed in log_seeds.items() if seed not in row_seeds]
+    missing = sorted(row_seeds.difference(log_seeds.values()), key=int)
+    problems = []
+    if stray:
+        problems.append(f"logs with no row: {', '.join(stray)}")
+    if missing:
+        problems.append(f"rows with no log: seed {', '.join(missing)}")
+    if problems:
+        raise RuntimeFailure(f"{metrics_path} does not match its logs; {'; '.join(problems)}")
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     directory = Path(args.in_dir)
     if not directory.is_dir():
         raise RuntimeFailure(f"no results directory {directory}")
     metrics_path = directory / "metrics.csv"
+    logs = sorted(directory.glob("log_seed*.csv"))
     if metrics_path.exists():
-        print(metrics_path.read_text(encoding="utf-8").rstrip("\n"))
+        text = metrics_path.read_text(encoding="utf-8")
+        _check_logs_match_rows(metrics_path, text, logs)
+        print(text.rstrip("\n"))
     else:
         print(f"no metrics.csv in {directory}")
-    logs = sorted(directory.glob("log_seed*.csv"))
     if logs:
         drives = []
         for path in logs:

@@ -63,7 +63,12 @@ class BlockStream:
         return self._take(_RANDOM)
 
     def integers(self, low: int, high: int) -> int:
-        return self._take(("integers", low, high))
+        i = self._next
+        call = ("integers", low, high)
+        if i < len(self._block) and call == self._call:  # locked to this call, block not spent
+            self._next = i + 1
+            return self._block[i]
+        return self._take(call)
 
     def normal(self, loc: float, scale: float, size: tuple[int, ...]) -> np.ndarray:
         return self._take(("normal", loc, scale, size))

@@ -1,6 +1,8 @@
 """Step engine: update order, purity, determinism, and the structural blanket."""
 
+import copy
 import dataclasses
+import pickle
 
 import pytest
 
@@ -8,8 +10,10 @@ from interoai import core
 from interoai.core import (
     Action,
     BoundaryState,
+    ExternalState,
     FactoredState,
     InternalState,
+    Tag,
     TransitionModel,
     perturb_external,
     step_factored,
@@ -276,3 +280,99 @@ def test_schema_rejects_a_season_the_world_does_not_have(season):
     bad = _with_external(state, season=season)
     with pytest.raises(SchemaMismatch, match="season"):
         step_factored(transition_maps(env), bad, Action.Rest, stream(0, 0, "env"))
+
+
+# One value of each state type, built by keyword, and its expected repr.
+_INTERNAL = InternalState(values=(0.5, 0.75, 37.0))
+_BOUNDARY = BoundaryState(sensed_ambient=20.0, flux_food=0.25, flux_water=0.0)
+_EXTERNAL = ExternalState(
+    agent_pos=(0, 1), resource_map=((Tag.Empty, Tag.Food),), ambient_field=((20.0, 12.0),), season=1
+)
+STATE_FIELDS = {
+    InternalState: {"values": (0.5, 0.75, 37.0)},
+    BoundaryState: {"sensed_ambient": 20.0, "flux_food": 0.25, "flux_water": 0.0},
+    ExternalState: {
+        "agent_pos": (0, 1),
+        "resource_map": ((Tag.Empty, Tag.Food),),
+        "ambient_field": ((20.0, 12.0),),
+        "season": 1,
+    },
+    FactoredState: {"internal": _INTERNAL, "boundary": _BOUNDARY, "external": _EXTERNAL, "t": 3},
+}
+_REPRS = {
+    InternalState: "InternalState(values=(0.5, 0.75, 37.0))",
+    BoundaryState: "BoundaryState(sensed_ambient=20.0, flux_food=0.25, flux_water=0.0)",
+    ExternalState: (
+        "ExternalState(agent_pos=(0, 1), resource_map=((<Tag.Empty: 0>, <Tag.Food: 1>),), "
+        "ambient_field=((20.0, 12.0),), season=1)"
+    ),
+}
+_REPRS[FactoredState] = (
+    f"FactoredState(internal={_REPRS[InternalState]}, boundary={_REPRS[BoundaryState]}, "
+    f"external={_REPRS[ExternalState]}, t=3)"
+)
+STATE_TYPES = pytest.mark.parametrize("cls", list(STATE_FIELDS), ids=lambda cls: cls.__name__)
+
+
+@STATE_TYPES
+def test_state_constructor_fills_every_field_by_position_or_keyword(cls):
+    values = STATE_FIELDS[cls]
+    by_position = cls(*values.values())
+    assert [f.name for f in dataclasses.fields(cls)] == list(values)
+    assert {name: getattr(by_position, name) for name in values} == values
+    assert cls(**values) == by_position
+    with pytest.raises(TypeError):
+        cls(*list(values.values())[:-1])  # a field left out
+    with pytest.raises(TypeError):
+        cls(*values.values(), None)  # one too many
+
+
+@STATE_TYPES
+def test_state_is_frozen(cls):
+    state = cls(**STATE_FIELDS[cls])
+    for name in STATE_FIELDS[cls]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(state, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(state, name)
+    assert state == cls(**STATE_FIELDS[cls])
+
+
+@STATE_TYPES
+def test_equal_states_are_equal_and_hash_equal(cls):
+    a, b = cls(**STATE_FIELDS[cls]), cls(**STATE_FIELDS[cls])
+    assert a is not b and a == b and hash(a) == hash(b)
+    last = list(STATE_FIELDS[cls])[-1]
+    other = dataclasses.replace(a, **{last: None})
+    assert other != a and getattr(other, last) is None
+
+
+@STATE_TYPES
+def test_state_repr_is_the_dataclass_repr(cls):
+    assert repr(cls(**STATE_FIELDS[cls])) == _REPRS[cls]
+
+
+@STATE_TYPES
+def test_state_replace_pickle_and_deepcopy_round_trip(cls):
+    state = cls(**STATE_FIELDS[cls])
+    assert dataclasses.replace(state) == state
+    for copied in (pickle.loads(pickle.dumps(state)), copy.deepcopy(state)):
+        assert type(copied) is cls and copied == state and hash(copied) == hash(state)
+
+
+@pytest.mark.parametrize("spoiler", ["default", "factory", "no-init", "post-init"])
+def test_slot_init_refuses_a_class_whose_init_does_more(spoiler):
+    # The generated `__init__` only fills slots, so it must never replace one
+    # that also fills in a default or runs a validation.
+    namespace = {"__annotations__": {"a": int, "b": int}}
+    if spoiler == "default":
+        namespace["b"] = 0
+    elif spoiler == "factory":
+        namespace["b"] = dataclasses.field(default_factory=int)
+    elif spoiler == "no-init":
+        namespace["b"] = dataclasses.field(init=False)
+    else:
+        namespace["__post_init__"] = lambda self: None
+    cls = dataclasses.dataclass(frozen=True, slots=True)(type("Spoiled", (), namespace))
+    with pytest.raises(TypeError, match="_slot_init"):
+        core._slot_init(cls)

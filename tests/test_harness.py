@@ -867,6 +867,28 @@ def test_cli_report_rejects_a_missing_directory(tmp_path, capsys):
     _assert_one_line_runtime_failure(capsys.readouterr().err, str(absent))
 
 
+def test_cli_report_names_the_logs_another_sweep_left(tmp_path, capsys):
+    # A one-seed Random sweep into the directory of a three-seed HomeostaticQ
+    # sweep: the older sweep's seeds 1 and 2 logs have no row in metrics.csv.
+    sweep(parse_config(quick_config_doc(seeds=[0, 1, 2])), str(tmp_path))
+    doc = quick_config_doc(seeds=[0])
+    doc["agent"]["kind"] = "Random"
+    sweep(parse_config(doc), str(tmp_path))
+    assert main(["report", "--in", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    _assert_one_line_runtime_failure(captured.err, "metrics.csv", "log_seed1.csv", "log_seed2.csv")
+    assert "log_seed0.csv" not in captured.err
+    assert "mean drive" not in captured.out
+
+
+def test_cli_report_names_a_row_whose_log_is_gone(tmp_path, capsys):
+    sweep(parse_config(quick_config_doc(train_steps=0, eval_steps=20, seeds=[0, 1])), str(tmp_path))
+    assert main(["report", "--in", str(tmp_path)]) == 0
+    (tmp_path / "log_seed1.csv").unlink()
+    assert main(["report", "--in", str(tmp_path)]) == 2
+    _assert_one_line_runtime_failure(capsys.readouterr().err, "rows with no log: seed 1")
+
+
 def test_cli_runtime_failure_exit_code(tmp_path, monkeypatch):
     from interoai.errors import RuntimeFailure
     import interoai.harness.cli as cli
