@@ -355,13 +355,10 @@ class TabularQAgent:
         q_update(table, (obs, action, reward, obs_next), self.cfg.alpha, self.cfg.gamma, sig.td_gain)
 
 
-_CONSUME, _FOOD, _WATER = Action.Consume, Tag.Food, Tag.Water
-
-
 def external_reward(state: FactoredState, action: Action) -> float:
     """ExternalRewardQ's reward: +1 for consuming on a food or water cell."""
     tag = state.external.tag_at(state.external.agent_pos)
-    return 1.0 if action == _CONSUME and (tag == _FOOD or tag == _WATER) else 0.0
+    return 1.0 if action == Action.Consume and tag in (Tag.Food, Tag.Water) else 0.0
 
 
 def make_agent(

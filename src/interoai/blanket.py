@@ -68,13 +68,12 @@ def rollout(env: HomeoGridEnv, policy: Policy, seed: int, policy_purpose: str, e
     dm = env.drive_model
     rng_env, rng_policy = BlockStream(seed, 0, env_purpose), BlockStream(seed, 0, policy_purpose)
     tracker = SurvivalTracker(dm.grace_steps)
-    dead_status = Status.Dead
     state = reset(env, seed)
     while True:
         action = policy(state, rng_policy)
         nxt = step_factored(model, state, action, rng_env)
         ok = in_viability(dm, nxt.internal)
-        dead = tracker.update(ok) is dead_status
+        dead = tracker.update(ok) is Status.Dead
         following = nxt
         if dead:  # before the yield, so a death on the last step taken respawns too
             following = respawn(env, nxt)

@@ -245,8 +245,7 @@ def step_factored(
     i, b, e = state.internal, state.boundary, state.external
     t = state.t + 1
     b_next = model.f_b(i, e, action)
-    leak = model.internal_leak  # `internal_update`, inline
-    i_next = model.f_i(i, b, action) if leak is None else leak(i, b, e, action)
+    i_next = internal_update(model, i, b, e, action)
     return FactoredState(i_next, b_next, model.f_e(e, b, action, rng, t), t)
 
 

@@ -255,13 +255,13 @@ def transition_maps(env: HomeoGridEnv) -> TransitionModel:
     grid = env.grid
     e_gain, w_gain = env.e_gain, env.w_gain
     c_e, c_h, kappa, lam = env.c_e, env.c_h, env.kappa, env.leak
-    order, period = env.schedule.order, env.schedule.period
-    n_order = len(order)
+    schedule = env.schedule
+
     season_grids = grid.table
     noise_std = grid.noise_std
     shape = season_grids[0].base.shape
     bases = np.stack([g.base for g in season_grids])
-    consume, food, water = Action.Consume, Tag.Food, Tag.Water
+    consume = Action.Consume
     # The block stream's current block and its fields `[row, season]`: one slot,
     # read once per call, so threads sharing the model never mix two blocks.
     held = (None, None)
@@ -275,12 +275,12 @@ def transition_maps(env: HomeoGridEnv) -> TransitionModel:
         return pos  # no move, or a wall in the way
 
     def sense(external: ExternalState, consuming: bool) -> BoundaryState:
-        r, c = external.agent_pos
-        tag = external.resource_map[r][c]
+        pos = external.agent_pos
+        tag = external.tag_at(pos)
         return BoundaryState(
-            external.ambient_field[r][c],  # sensed ambient
-            e_gain if consuming and tag == food else 0.0,  # food flux
-            w_gain if consuming and tag == water else 0.0,  # water flux
+            sensed_ambient=external.ambient_at(pos),
+            flux_food=e_gain if consuming and tag == Tag.Food else 0.0,
+            flux_water=w_gain if consuming and tag == Tag.Water else 0.0,
         )
 
     # Every table state `[season][row][col]`, its boundary without and with
@@ -333,7 +333,7 @@ def transition_maps(env: HomeoGridEnv) -> TransitionModel:
         t_next: int,
     ) -> ExternalState:
         nonlocal held
-        season = order[(t_next // period) % n_order]  # `advance_season`, inline
+        season = advance_season(schedule, t_next)
         r, c = external.agent_pos
         pos = targets[r][c][action]
         if noise_std > 0.0:
@@ -356,7 +356,7 @@ def transition_maps(env: HomeoGridEnv) -> TransitionModel:
             tags, field = season_grids[season].tags, season_grids[season].field
         else:
             tags, field = external.resource_map, external.ambient_field
-        return ExternalState(pos, tags, field, season)
+        return ExternalState(agent_pos=pos, resource_map=tags, ambient_field=field, season=season)
 
     return TransitionModel(
         f_b=f_b,
@@ -380,9 +380,6 @@ class Status(Enum):
     Dead = "Dead"
 
 
-_ALIVE, _DEAD = Status.Alive, Status.Dead
-
-
 class SurvivalTracker:
     """The survival rule, fed one in-zone flag per step.
 
@@ -397,8 +394,8 @@ class SurvivalTracker:
         self.streak = 0
 
     def update(self, ok: bool) -> Status:
-        streak = self.streak = 0 if ok else self.streak + 1
-        return _DEAD if streak > self.grace else _ALIVE
+        self.streak = 0 if ok else self.streak + 1
+        return Status.Dead if self.streak > self.grace else Status.Alive
 
     def reset(self) -> None:
         self.streak = 0

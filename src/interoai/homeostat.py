@@ -71,8 +71,7 @@ def drive_and_deficit(dm: DriveModel, h: InternalState) -> tuple[float, int]:
     lowest index).  The deviations are added left to right with `+=`: `sum`
     of floats is compensated from Python 3.12 on, which would change the bits.
     """
-    if len(h.values) != len(dm.set_point):
-        _check_dim(dm, h)
+    _check_dim(dm, h)
     n = dm.n
     total = 0.0
     best = -1.0
@@ -99,10 +98,8 @@ def homeostatic_reward(dm: DriveModel, h_t: InternalState, h_next: InternalState
 
 def in_viability(dm: DriveModel, h: InternalState) -> bool:
     """True iff every component lies inside its closed viability interval."""
-    values = h.values
-    if len(values) != len(dm.set_point):
-        _check_dim(dm, h)
-    for (lo, hi), v in zip(dm.viability, values):
+    _check_dim(dm, h)
+    for (lo, hi), v in zip(dm.viability, h.values):
         if not lo <= v <= hi:
             return False
     return True

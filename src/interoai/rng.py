@@ -56,22 +56,16 @@ class BlockStream:
         self._next = 0
 
     def random(self) -> float:
-        i = self._next
-        if self._call is _RANDOM and i < len(self._block):  # locked to random(), block not spent
-            self._next = i + 1
-            return self._block[i]
-        return self._take(_RANDOM)
+        i = self._advance(_RANDOM)  # may draw a new block
+        return self._block[i]
 
     def integers(self, low: int, high: int) -> int:
-        i = self._next
-        call = ("integers", low, high)
-        if i < len(self._block) and call == self._call:  # locked to this call, block not spent
-            self._next = i + 1
-            return self._block[i]
-        return self._take(call)
+        i = self._advance(("integers", low, high))
+        return self._block[i]
 
     def normal(self, loc: float, scale: float, size: tuple[int, ...]) -> np.ndarray:
-        return self._take(("normal", loc, scale, size))
+        i = self._advance(("normal", loc, scale, size))
+        return self._block[i]
 
     def normal_block(self, loc: float, scale: float, size: tuple[int, ...]) -> tuple[np.ndarray, int]:
         """Take the draw `normal(loc, scale, size)` would return, as the
@@ -80,10 +74,6 @@ class BlockStream:
         """
         i = self._advance(("normal", loc, scale, size))
         return self._block, i
-
-    def _take(self, call: tuple):
-        i = self._advance(call)  # may draw a new block
-        return self._block[i]
 
     def _advance(self, call: tuple) -> int:
         """Check `call` against the lock and return the index of its draw."""

@@ -84,48 +84,35 @@ def test_block_stream_rejects_a_second_kind_of_draw():
         s.random()
 
 
-@pytest.mark.parametrize("before", [5, BLOCK + 1])
-@pytest.mark.parametrize("second", [("integers", 0, 6), ("normal", 0.0, 0.5, (5, 5))])
-def test_random_fast_path_still_enforces_the_lock(before, second):
-    # `random()` skips the lock check while its block lasts; the other draws
-    # must still be refused, inside a block and just past a block boundary.
+def _check_the_lock_holds(first, second, before):
+    # `first` is served from its block without a new draw; `second` must still
+    # be refused, inside a block and just past a block boundary.
     s = BlockStream(3, 1, "agent")
     plain = stream(3, 1, "agent")
     for _ in range(before):
-        assert s.random() == plain.random()
+        assert _draw(s, first) == _draw(plain, first)
     for _ in range(2):
         with pytest.raises(StreamMisuse):
             _draw(s, second)
         # The refused call handed nothing out: the stream goes on where it was.
-        assert s.random().hex() == plain.random().hex()
+        assert _draw(s, first) == _draw(plain, first)
 
 
 @pytest.mark.parametrize("before", [5, BLOCK + 1])
-@pytest.mark.parametrize("second", [("integers", 0, 5), ("random",), ("normal", 0.0, 0.5, (5, 5))])
+@pytest.mark.parametrize("second", [("integers", 0, 6), ("normal", 0.0, 0.5, (5, 5))])
+def test_random_fast_path_still_enforces_the_lock(before, second):
+    _check_the_lock_holds(("random",), second, before)
+
+
+@pytest.mark.parametrize("before", [5, BLOCK + 1])
+@pytest.mark.parametrize("second", [("integers", 0, 5), ("normal", 0.0, 0.5, (5, 5))])
 def test_integers_fast_path_still_enforces_the_lock(before, second):
-    # `integers(0, 6)` takes a fast path while its block lasts; other
-    # arguments and other draws must still be refused, inside a block and
-    # just past a block boundary.
-    s = BlockStream(3, 1, "policy")
-    plain = stream(3, 1, "policy")
-    for _ in range(before):
-        assert s.integers(0, 6) == int(plain.integers(0, 6))
-    for _ in range(2):
-        with pytest.raises(StreamMisuse):
-            _draw(s, second)
-        # The refused call handed nothing out: the stream goes on where it was.
-        assert s.integers(0, 6) == int(plain.integers(0, 6))
+    _check_the_lock_holds(("integers", 0, 6), second, before)
 
 
 @pytest.mark.parametrize("before", [5, BLOCK + 1])
 def test_random_is_refused_by_a_stream_locked_to_another_draw(before):
-    s = BlockStream(3, 1, "policy")
-    plain = stream(3, 1, "policy")
-    for _ in range(before):
-        assert s.integers(0, 6) == int(plain.integers(0, 6))
-    with pytest.raises(StreamMisuse):
-        s.random()
-    assert s.integers(0, 6) == int(plain.integers(0, 6))
+    _check_the_lock_holds(("integers", 0, 6), ("random",), before)
 
 
 @pytest.mark.parametrize(
