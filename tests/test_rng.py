@@ -106,7 +106,7 @@ def test_random_fast_path_still_enforces_the_lock(before, second):
 
 @pytest.mark.parametrize("before", [5, BLOCK + 1])
 @pytest.mark.parametrize("second", [("integers", 0, 5), ("normal", 0.0, 0.5, (5, 5))])
-def test_integers_fast_path_still_enforces_the_lock(before, second):
+def test_a_stream_locked_to_integers_refuses_other_draws(before, second):
     _check_the_lock_holds(("integers", 0, 6), second, before)
 
 
