@@ -32,7 +32,6 @@ from .envs import (
     HomeoGridEnv,
     SeasonSchedule,
     SeasonSpec,
-    Status,
     advance_season,
     make_coupled_variant,
     reset,

@@ -44,7 +44,7 @@ from .core import (
     internal_update,
     step_factored,
 )
-from .envs import GridSpec, HomeoGridEnv, Status, SurvivalTracker, respawn, reset, transition_maps
+from .envs import GridSpec, HomeoGridEnv, SurvivalTracker, respawn, reset, transition_maps
 from .errors import ConfigError, EmptyDataset, NegativeWeight, NonFiniteValue
 from .homeostat import in_viability
 from . import rng
@@ -73,7 +73,7 @@ def rollout(env: HomeoGridEnv, policy: Policy, seed: int, policy_purpose: str, e
         action = policy(state, rng_policy)
         nxt = step_factored(model, state, action, rng_env)
         ok = in_viability(dm, nxt.internal)
-        dead = tracker.update(ok) is Status.Dead
+        dead = tracker.update(ok)
         following = nxt
         if dead:  # before the yield, so a death on the last step taken respawns too
             following = respawn(env, nxt)
@@ -230,10 +230,9 @@ def cmi_from_counts(counts: Mapping[tuple, float]) -> float:
     return max(acc / total, 0.0)
 
 
-def conditional_mi(
-    ds: TransitionDataset, tol_lo: float = 1e-9, tol_hi: float = 0.02
-) -> CmiReport:
-    """Estimate I(I_{t+1}; E_t | I_t, B_t, A_t) and classify the result."""
+def conditional_mi(ds: TransitionDataset, tol_lo: float, tol_hi: float) -> CmiReport:
+    """Estimate I(I_{t+1}; E_t | I_t, B_t, A_t) and classify the result:
+    Factored below `tol_lo`, Coupled above `tol_hi`, Inconclusive between."""
     if len(ds) == 0:
         raise EmptyDataset("dataset holds no transitions")
     cmi = cmi_from_counts(ds.counts)

@@ -7,6 +7,10 @@ skin senses.  Shade cells are cooler than the season baseline, so shading is
 the only lever on temperature.  Seasons swap the ambient baseline (and, if
 configured, the resource layout) on a fixed period, which makes the external
 dynamics non-stationary while the internal dynamics stay the same.
+The external map reads only the agent's position from the current state:
+the next state carries its season's resource map and ambient field (a
+fresh noisy draw of it in a noisy world), so a hand-built world steps into
+the env's own.
 
 Internal dimension order is fixed: 0 energy, 1 hydration, 2 core_temp.
 
@@ -20,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace as dc_replace
-from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
@@ -162,9 +165,13 @@ def validate_env(env: HomeoGridEnv) -> None:
         tags = [t for _, _, t in season.placements]
         if Tag.Food not in tags or Tag.Water not in tags:
             raise ConfigError(f"season {s_idx} needs at least one Food and one Water cell")
+        placed = set()
         for r, c, _ in season.placements:
             if not (0 <= r < g.rows and 0 <= c < g.cols):
                 raise ConfigError(f"placement ({r}, {c}) out of bounds in season {s_idx}")
+            if (r, c) in placed:  # the table would keep only the later tag
+                raise ConfigError(f"season {s_idx} places cell ({r}, {c}) twice")
+            placed.add((r, c))
     if g.noise_std < 0.0:
         raise ConfigError("noise_std must be >= 0")
     if env.schedule.period < 1 or not env.schedule.order:
@@ -332,6 +339,8 @@ def transition_maps(env: HomeoGridEnv) -> TransitionModel:
         rng: np.random.Generator | BlockStream,
         t_next: int,
     ) -> ExternalState:
+        # Only e_t's position is read: the successor's grids are its season's,
+        # the table state itself in a noise-free world.
         nonlocal held
         season = advance_season(schedule, t_next)
         r, c = external.agent_pos
@@ -349,14 +358,7 @@ def transition_maps(env: HomeoGridEnv) -> TransitionModel:
             else:
                 field = _noisy_field(grids.base, noise_std, rng)
             return ExternalState(pos, grids.tags, field, season)
-        if states[external.season][r][c] is external:  # a table state steps to table states
-            r, c = pos
-            return states[season][r][c]
-        if season != external.season:
-            tags, field = season_grids[season].tags, season_grids[season].field
-        else:
-            tags, field = external.resource_map, external.ambient_field
-        return ExternalState(agent_pos=pos, resource_map=tags, ambient_field=field, season=season)
+        return states[season][pos[0]][pos[1]]
 
     return TransitionModel(
         f_b=f_b,
@@ -375,16 +377,11 @@ def make_coupled_variant(env: HomeoGridEnv, lam: float) -> HomeoGridEnv:
     return dc_replace(env, leak=lam)
 
 
-class Status(Enum):
-    Alive = "Alive"
-    Dead = "Dead"
-
-
 class SurvivalTracker:
     """The survival rule, fed one in-zone flag per step.
 
-    `update` returns Dead once the trailing run of out-of-zone steps exceeds
-    the grace window; `reset` starts the count again for a fresh body.
+    `update` returns True (dead) once the trailing run of out-of-zone steps
+    exceeds the grace window; `reset` starts the count again for a fresh body.
     """
 
     __slots__ = ("grace", "streak")
@@ -393,9 +390,9 @@ class SurvivalTracker:
         self.grace = grace_steps
         self.streak = 0
 
-    def update(self, ok: bool) -> Status:
+    def update(self, ok: bool) -> bool:
         self.streak = 0 if ok else self.streak + 1
-        return Status.Dead if self.streak > self.grace else Status.Alive
+        return self.streak > self.grace
 
     def reset(self) -> None:
         self.streak = 0

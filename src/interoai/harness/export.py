@@ -79,9 +79,9 @@ def read_log_csv(path: str | Path) -> EpisodeLog:
     return EpisodeLog(seed=seed, agent_kind="", steps=steps, terminal="")
 
 
-def drive_svg_text(log: EpisodeLog, width: int = 900, height: int = 260) -> str:
+def drive_svg_text(log: EpisodeLog) -> str:
     """Line chart of drive over the window; out-of-zone steps shaded."""
-    pad = 34
+    width, height, pad = 900, 260, 34
     steps = log.steps
     if not steps:
         return (

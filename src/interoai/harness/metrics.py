@@ -137,18 +137,14 @@ def retention_score(records: Sequence[StepRecord], first_season: int) -> float:
     return second_vf / first_vf
 
 
-def recovery_time(
-    drives: Sequence[float],
-    switch_idx: int,
-    window: int = RECOVERY_WINDOW,
-    fraction: float = RECOVERY_FRACTION,
-) -> float:
+def recovery_time(drives: Sequence[float], switch_idx: int) -> float:
     """Steps after `switch_idx` until the moving average of drive settles back."""
+    window = RECOVERY_WINDOW
     pre_slice = drives[max(0, switch_idx - window) : switch_idx]
     if not pre_slice:
         return float("nan")
     pre = mean(pre_slice)
-    tol = fraction * abs(pre) + 1e-12
+    tol = RECOVERY_FRACTION * abs(pre) + 1e-12
     remaining = len(drives) - switch_idx
     if remaining < window:
         return float(remaining)

@@ -44,7 +44,6 @@ from ..envs import (  # noqa: F401
     ENERGY,
     HYDRATION,
     HomeoGridEnv,
-    Status,
     make_coupled_variant,
     reset,
     respawn,
@@ -126,7 +125,7 @@ def execute_run(config: ExperimentConfig, seed: int) -> RunResult:
     ent_sat = mean(e for _, e, _ in entropies) if entropies else float("nan")
     ent_def = mean(e for _, _, e in entropies) if entropies else float("nan")
     row = build_metrics_row(seed, records, env.schedule.order[0], ent_sat, ent_def)
-    terminal = (Status.Dead if dead else Status.Alive).value
+    terminal = "Dead" if dead else "Alive"
     episode_log = EpisodeLog(seed=seed, agent_kind=config.agent.kind, steps=records, terminal=terminal)
     return RunResult(log=episode_log, metrics=row, agent=agent)
 
@@ -141,9 +140,7 @@ def probe_internal_states(env: HomeoGridEnv) -> tuple[InternalState, InternalSta
     return satiated, InternalState(tuple(lows))
 
 
-def probe_entropies(
-    agent, env: HomeoGridEnv, seed: int, samples: int = PROBE_SAMPLES
-) -> list[tuple[tuple[int, int], float, float]]:
+def probe_entropies(agent, env: HomeoGridEnv, seed: int) -> list[tuple[tuple[int, int], float, float]]:
     """Empirical action entropy per grid cell, satiated versus depleted.
 
     The trained policy is sampled (no learning) at every cell under both
@@ -164,9 +161,9 @@ def probe_entropies(
             cell_entropy = []
             for internal in (satiated, deficit):
                 probe = FactoredState(internal=internal, boundary=boundary, external=external, t=0)
-                counts = Counter(agent.act(probe, rng) for _ in range(samples))
+                counts = Counter(agent.act(probe, rng) for _ in range(PROBE_SAMPLES))
                 cell_entropy.append(
-                    -sum((n / samples) * ln(n / samples) for n in counts.values())
+                    -sum((n / PROBE_SAMPLES) * ln(n / PROBE_SAMPLES) for n in counts.values())
                 )
             out.append(((r, c), cell_entropy[0], cell_entropy[1]))
     return out
@@ -255,17 +252,15 @@ def verify_blanket(config: ExperimentConfig, out_dir: str | None = None) -> Blan
     factored_env = settings.env
     coupled_env = make_coupled_variant(factored_env, settings.lam)
 
-    ds_factored = collect_transitions(
-        factored_env, uniform_random_policy, settings.steps, settings.seed, settings.discretizer
-    )
-    ds_coupled = collect_transitions(
-        coupled_env, uniform_random_policy, settings.steps, settings.seed, settings.discretizer
-    )
-    rep_factored = conditional_mi(ds_factored, settings.tol_lo, settings.tol_hi)
-    rep_coupled = conditional_mi(ds_coupled, settings.tol_lo, settings.tol_hi)
+    def measure(env: HomeoGridEnv) -> tuple[CmiReport, tuple[float, float]]:
+        # One variant at a time: its dataset is freed before the next one is collected.
+        ds = collect_transitions(
+            env, uniform_random_policy, settings.steps, settings.seed, settings.discretizer
+        )
+        return conditional_mi(ds, settings.tol_lo, settings.tol_hi), _jacobian_maxima(env, settings.epsilon)
 
-    jac_factored = _jacobian_maxima(factored_env, settings.epsilon)
-    jac_coupled = _jacobian_maxima(coupled_env, settings.epsilon)
+    rep_factored, jac_factored = measure(factored_env)
+    rep_coupled, jac_coupled = measure(coupled_env)
 
     gap = rep_coupled.cmi_nats / max(rep_factored.cmi_nats, settings.tol_lo)
     passed = (

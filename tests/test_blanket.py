@@ -147,7 +147,7 @@ def test_non_finite_weight_rejected(bad):
     # NaN compares false with both thresholds, so it must not reach the verdict.
     codes = np.zeros(1, dtype=np.int64)
     with pytest.raises(NonFiniteValue):
-        conditional_mi(TransitionDataset(codes, codes, codes, counts))
+        conditional_mi(TransitionDataset(codes, codes, codes, counts), 1e-9, 0.02)
 
 
 def test_negative_weight_rejected():
@@ -205,7 +205,7 @@ def test_coupled_cmi_increases_with_lambda():
         values = []
         for seed in range(10):
             ds = collect_transitions(env, uniform_random_policy, 8_000, seed, ci_discretizer())
-            values.append(conditional_mi(ds).cmi_nats)
+            values.append(conditional_mi(ds, 1e-9, 0.02).cmi_nats)
         medians.append(statistics.median(values))
     assert medians[0] < medians[1] < medians[2]
 
@@ -281,7 +281,7 @@ def _collect_symbolizing_every_state_twice(env, steps, seed, disc):
     tuples (i_next, e, (i, b, a)) in first-seen order.
     """
     from interoai.core import step_factored
-    from interoai.envs import Status, SurvivalTracker, respawn
+    from interoai.envs import SurvivalTracker, respawn
     from interoai.homeostat import in_viability
     from interoai.rng import stream
 
@@ -299,7 +299,7 @@ def _collect_symbolizing_every_state_twice(env, steps, seed, disc):
         transitions.append(record)
         key = (record[4], record[2], (record[0], record[1], record[3]))
         counts[key] = counts.get(key, 0.0) + 1.0
-        if tracker.update(in_viability(env.drive_model, nxt.internal)) is Status.Dead:
+        if tracker.update(in_viability(env.drive_model, nxt.internal)):
             nxt = respawn(env, nxt)
             tracker.reset()
         state = nxt

@@ -17,7 +17,6 @@ from interoai.core import (
 )
 from interoai.envs import (
     SeasonSchedule,
-    Status,
     SurvivalTracker,
     advance_season,
     make_coupled_variant,
@@ -132,17 +131,17 @@ def test_energy_conserved_without_decay_or_consumption():
 def test_terminal_check_rules():
     env = make_tiny_env()  # grace_steps = 5
 
-    def status_after(flags):
+    def dead_after(flags):
         tracker = SurvivalTracker(env.drive_model.grace_steps)
-        status = Status.Alive
+        dead = False
         for ok in flags:
-            status = tracker.update(ok)
-        return status
+            dead = tracker.update(ok)
+        return dead
 
-    assert status_after([True] * 50) is Status.Alive
-    assert status_after([True] * 10 + [False] * 6) is Status.Dead
-    assert status_after([False] * 5 + [True]) is Status.Alive
-    assert status_after([False] * 5) is Status.Alive  # exactly grace, not beyond
+    assert dead_after([True] * 50) is False
+    assert dead_after([True] * 10 + [False] * 6) is True
+    assert dead_after([False] * 5 + [True]) is False
+    assert dead_after([False] * 5) is False  # exactly grace, not beyond
 
 
 def test_respawn_keeps_world_clock():
@@ -385,11 +384,29 @@ def test_an_equal_valued_copy_of_a_table_state_takes_the_general_path():
             expected = model.f_b(state.internal, table_state, action)
             got = model.f_b(state.internal, copy, action)
             assert got == expected and got is not expected
+        # f_e reads only the position, so the copy steps where the table state does.
         moved = model.f_e(copy, state.boundary, Action.MoveN, rng, 1)
         assert moved == model.f_e(table_state, state.boundary, Action.MoveN, rng, 1)
-        assert moved.resource_map is copy.resource_map
-        assert moved.ambient_field is copy.ambient_field
-        assert all(moved is not s for season in _table_states(env) for row in season for s in row)
+        assert moved is model.states[0][0][1]
+
+
+def test_a_state_with_a_foreign_resource_map_steps_into_the_envs_world():
+    # f_e reads only e_t's position: a hand-built map is not carried forward.
+    env = make_tiny_env()
+    state = reset(env, 0)
+    foreign = tuple(tuple(Tag.Food for _ in row) for row in state.external.resource_map)
+    external = dataclasses.replace(state.external, resource_map=foreign)
+    rng = stream(0, 0, "env")
+    model = transition_maps(env)
+    for t_next, season in ((1, 0), (env.schedule.period, 1)):
+        moved = model.f_e(external, state.boundary, Action.MoveN, rng, t_next)
+        assert moved is model.states[season][0][1]
+    noisy = dataclasses.replace(env, grid=dataclasses.replace(env.grid, noise_std=1.0))
+    noisy_model = transition_maps(noisy)
+    for t_next, season in ((1, 0), (env.schedule.period, 1)):
+        moved = noisy_model.f_e(external, state.boundary, Action.MoveN, rng, t_next)
+        assert (moved.agent_pos, moved.season) == ((0, 1), season)
+        assert moved.resource_map is noisy.grid.table[season].tags
 
 
 def test_a_noisy_world_never_hands_out_a_table_state():

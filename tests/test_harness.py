@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import weakref
 from pathlib import Path
 
 import pytest
@@ -227,6 +228,27 @@ def _set(doc: dict, path: tuple, value) -> None:
     for part in outer:
         doc = doc[part]
     doc[key] = value
+
+
+_PLACED_TWICE = [[3, 2, "Food"], [3, 2, "Water"], [3, 3, "Shade"]]
+
+
+def test_a_season_that_places_one_cell_twice_is_rejected(quick_doc):
+    # The season table keeps only the later tag of a cell, so this season
+    # would have no Food cell although its list names one.
+    quick_doc["env"]["seasons"][0]["resources"] = _PLACED_TWICE
+    with pytest.raises(ConfigError, match=r"season 0 places cell \(3, 2\) twice"):
+        parse_config(quick_doc)
+
+
+def test_cli_rejects_a_season_that_places_one_cell_twice(tmp_path, capsys):
+    doc = quick_config_doc()
+    doc["env"]["seasons"][0]["resources"] = _PLACED_TWICE
+    cfg_path = _write_config(tmp_path, doc)
+    assert main(["run", "--config", cfg_path, "--seed", "0", "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "(3, 2) twice" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_omitted_optional_keys_take_the_dataclass_defaults(quick_doc):
@@ -784,6 +806,27 @@ def test_verify_blanket_report(quick_cfg, tmp_path):
     payload = json.loads((tmp_path / "blanket.json").read_text(encoding="utf-8"))
     assert payload["factored"]["cmi_nats"] == 0.0
     assert payload["coupled"]["cmi_nats"] > payload["tol_hi"]
+
+
+def test_verify_blanket_frees_the_factored_dataset_before_it_collects_the_coupled_one(
+    quick_cfg, monkeypatch
+):
+    import interoai.harness.runner as runner_mod
+
+    collect = runner_mod.collect_transitions
+    collected = []  # a weak reference to each dataset handed out
+    alive_at_call = []  # whether an earlier dataset was still held when the next was asked for
+
+    def spy(*args, **kwargs):
+        alive_at_call.append(any(ref() is not None for ref in collected))
+        ds = collect(*args, **kwargs)
+        collected.append(weakref.ref(ds))
+        return ds
+
+    monkeypatch.setattr(runner_mod, "collect_transitions", spy)
+    assert verify_blanket(quick_cfg).passed
+    assert alive_at_call == [False, False]
+    assert all(ref() is None for ref in collected)
 
 
 # ---------------------------------------------------------------------------

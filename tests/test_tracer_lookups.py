@@ -31,9 +31,9 @@ def test_tracer_sees_every_step_of_a_run_and_a_verification(quick_cfg, monkeypat
     update = envs.SurvivalTracker.update
 
     def counted_update(self, ok):
-        status = update(self, ok)
-        deaths[0] += status is envs.Status.Dead
-        return status
+        dead = update(self, ok)
+        deaths[0] += dead
+        return dead
 
     monkeypatch.setattr(envs.SurvivalTracker, "update", counted_update)
     bench_trace = _load_bench_trace()
