@@ -39,6 +39,7 @@ ObsKey = int
 
 FLUX_CODES = 4  # two flux bits: a flux has two exact levels, so zero vs non-zero is lossless
 TAG_CODES = len(Tag)
+_CONSUME, _INGESTED = Action.Consume, (Tag.Food, Tag.Water)  # bound once: enum class reads are slow
 
 
 def flux_bits(food, water):
@@ -358,7 +359,7 @@ class TabularQAgent:
 def external_reward(state: FactoredState, action: Action) -> float:
     """ExternalRewardQ's reward: +1 for consuming on a food or water cell."""
     tag = state.external.tag_at(state.external.agent_pos)
-    return 1.0 if action == Action.Consume and tag in (Tag.Food, Tag.Water) else 0.0
+    return 1.0 if action == _CONSUME and tag in _INGESTED else 0.0
 
 
 def make_agent(

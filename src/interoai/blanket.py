@@ -110,16 +110,9 @@ class TransitionDataset:
 
 
 def collect_transitions(
-    env: HomeoGridEnv,
-    policy: Policy,
-    steps: int,
-    seed: int,
-    discretizer: Discretizer,
+    env: HomeoGridEnv, steps: int, seed: int, discretizer: Discretizer
 ) -> TransitionDataset:
-    """Take `steps` transitions of the policy's `rollout`, episodes concatenated.
-
-    The policy draws from a `BlockStream`, so it must make one kind of draw
-    with the same arguments every time, as `uniform_random_policy` does.
+    """Take `steps` transitions of `uniform_random_policy`'s `rollout`, episodes concatenated.
 
     Each step only appends its raw facts to flat buffers; every `rng.BLOCK`
     steps the discretizer's array forms code the buffered block and the
@@ -139,7 +132,7 @@ def collect_transitions(
     dims = len(env.drive_model.set_point)
     if len(d.internal_edges) != dims:
         raise ConfigError(f"{dims} internal values vs {len(d.internal_edges)} edge sets")
-    walk = rollout(env, policy, seed, "blanket-policy", "blanket-env")
+    walk = rollout(env, uniform_random_policy, seed, "blanket-policy", "blanket-env")
     x, y, z = (np.empty(steps, dtype=np.int64) for _ in range(3))
     counts: dict[tuple[int, int, int], float] = {}
     count = counts.get

@@ -12,6 +12,10 @@ the next state carries its season's resource map and ambient field (a
 fresh noisy draw of it in a noisy world), so a hand-built world steps into
 the env's own.
 
+`body_at` puts a body at rest on a cell for `reset`, `respawn` and the
+runner's entropy probe; a respawned body lands on the start cell of its
+season's own world, under the dead body's ambient field.
+
 Internal dimension order is fixed: 0 energy, 1 hydration, 2 core_temp.
 
 `make_coupled_variant` returns an environment whose internal temperature
@@ -40,7 +44,7 @@ from .core import (
     Tag,
     TransitionModel,
 )
-from .errors import ConfigError, require_finite
+from .errors import ConfigError, SchemaMismatch, require_finite
 from .homeostat import DriveModel
 from .rng import BlockStream, stream
 
@@ -216,25 +220,25 @@ def advance_season(schedule: SeasonSchedule, t: int) -> int:
     return schedule.order[(t // schedule.period) % len(schedule.order)]
 
 
-def _fresh_body(env: HomeoGridEnv, tags, field, season: int, t: int) -> FactoredState:
-    """A body at the set point on the start cell of the given world.
+def body_at(
+    env: HomeoGridEnv, internal: InternalState, cell: tuple[int, int], season: int, field, t: int
+) -> FactoredState:
+    """`internal` at rest on `cell` of `season`'s world under the ambient `field`, at clock `t`.
 
-    A built season's world starts from the table's own start-cell state.
+    At rest: no ingestion flux, sensing `field` at the cell.  Under the
+    season's own field the external state is the table's; under any other
+    (a noisy draw) it is a new one over the season's resource map.
     """
-    r, c = env.grid.start
     table = env.grid.table
-    if 0 <= season < len(table) and table[season].field is field and table[season].tags is tags:
-        external = table[season].states[r][c]
+    if not 0 <= season < len(table):
+        raise SchemaMismatch(f"season {season} outside [0, {len(table)})")
+    grids = table[season]
+    r, c = cell
+    if field is grids.field:
+        external = grids.states[r][c]
     else:
-        external = ExternalState(
-            agent_pos=(r, c), resource_map=tags, ambient_field=field, season=season
-        )
-    return FactoredState(
-        internal=InternalState(tuple(env.drive_model.set_point)),
-        boundary=BoundaryState(sensed_ambient=field[r][c], flux_food=0.0, flux_water=0.0),
-        external=external,
-        t=t,
-    )
+        external = ExternalState(cell, grids.tags, field, season)
+    return FactoredState(internal, BoundaryState(field[r][c], 0.0, 0.0), external, t)
 
 
 def reset(env: HomeoGridEnv, seed: int) -> FactoredState:
@@ -244,17 +248,20 @@ def reset(env: HomeoGridEnv, seed: int) -> FactoredState:
     field = grids.field
     if env.grid.noise_std > 0.0:
         field = _noisy_field(grids.base, env.grid.noise_std, stream(seed, 0, "env-reset"))
-    return _fresh_body(env, grids.tags, field, season, 0)
+    internal = InternalState(tuple(env.drive_model.set_point))
+    return body_at(env, internal, env.grid.start, season, field, 0)
 
 
 def respawn(env: HomeoGridEnv, state: FactoredState) -> FactoredState:
-    """Re-embody after death: fresh body at the start cell, world clock intact.
+    """Re-embody after death: a fresh body at the start cell of its season's
+    own world, under the dead body's ambient field, world clock intact.
 
     Seasons keep their phase so a mid-run death cannot shift the schedule
     that later steps (and metrics windows) depend on.
     """
     ext = state.external
-    return _fresh_body(env, ext.resource_map, ext.ambient_field, ext.season, state.t)
+    internal = InternalState(tuple(env.drive_model.set_point))
+    return body_at(env, internal, env.grid.start, ext.season, ext.ambient_field, state.t)
 
 
 def transition_maps(env: HomeoGridEnv) -> TransitionModel:
@@ -268,7 +275,7 @@ def transition_maps(env: HomeoGridEnv) -> TransitionModel:
     noise_std = grid.noise_std
     shape = season_grids[0].base.shape
     bases = np.stack([g.base for g in season_grids])
-    consume = Action.Consume
+    consume, food, water = Action.Consume, Tag.Food, Tag.Water
     # The block stream's current block and its fields `[row, season]`: one slot,
     # read once per call, so threads sharing the model never mix two blocks.
     held = (None, None)
@@ -286,8 +293,8 @@ def transition_maps(env: HomeoGridEnv) -> TransitionModel:
         tag = external.tag_at(pos)
         return BoundaryState(
             sensed_ambient=external.ambient_at(pos),
-            flux_food=e_gain if consuming and tag == Tag.Food else 0.0,
-            flux_water=w_gain if consuming and tag == Tag.Water else 0.0,
+            flux_food=e_gain if consuming and tag == food else 0.0,
+            flux_water=w_gain if consuming and tag == water else 0.0,
         )
 
     # Every table state `[season][row][col]`, its boundary without and with

@@ -30,20 +30,14 @@ from ..blanket import (
     conditional_mi,
     jacobian_sparsity,
     rollout,
-    uniform_random_policy,
 )
 # Uncalled here, `step_factored`, `respawn` and `in_viability` are names bench/bench_trace.py wraps.
-from ..core import (  # noqa: F401
-    ACTIONS,
-    BoundaryState,
-    FactoredState,
-    InternalState,
-    step_factored,
-)
+from ..core import ACTIONS, InternalState, step_factored  # noqa: F401
 from ..envs import (  # noqa: F401
     ENERGY,
     HYDRATION,
     HomeoGridEnv,
+    body_at,
     make_coupled_variant,
     reset,
     respawn,
@@ -151,16 +145,15 @@ def probe_entropies(agent, env: HomeoGridEnv, seed: int) -> list[tuple[tuple[int
     if not dm.viability:
         return []
     satiated, deficit = probe_internal_states(env)
-    grids = env.grid.table[env.schedule.order[0]]
+    season = env.schedule.order[0]
+    field = env.grid.table[season].field
     rng = BlockStream(seed, 0, "probe")
     out = []
     for r in range(env.grid.rows):
         for c in range(env.grid.cols):
-            external = grids.states[r][c]
-            boundary = BoundaryState(sensed_ambient=grids.field[r][c], flux_food=0.0, flux_water=0.0)
             cell_entropy = []
             for internal in (satiated, deficit):
-                probe = FactoredState(internal=internal, boundary=boundary, external=external, t=0)
+                probe = body_at(env, internal, (r, c), season, field, 0)
                 counts = Counter(agent.act(probe, rng) for _ in range(PROBE_SAMPLES))
                 cell_entropy.append(
                     -sum((n / PROBE_SAMPLES) * ln(n / PROBE_SAMPLES) for n in counts.values())
@@ -254,9 +247,7 @@ def verify_blanket(config: ExperimentConfig, out_dir: str | None = None) -> Blan
 
     def measure(env: HomeoGridEnv) -> tuple[CmiReport, tuple[float, float]]:
         # One variant at a time: its dataset is freed before the next one is collected.
-        ds = collect_transitions(
-            env, uniform_random_policy, settings.steps, settings.seed, settings.discretizer
-        )
+        ds = collect_transitions(env, settings.steps, settings.seed, settings.discretizer)
         return conditional_mi(ds, settings.tol_lo, settings.tol_hi), _jacobian_maxima(env, settings.epsilon)
 
     rep_factored, jac_factored = measure(factored_env)

@@ -23,7 +23,6 @@ from interoai.blanket import (
     collect_transitions,
     conditional_mi,
     jacobian_sparsity,
-    uniform_random_policy,
 )
 from interoai.core import ACTIONS, Action, InternalState, Tag, perturb_external, step_factored
 from interoai.envs import CORE_TEMP, make_coupled_variant, reset, transition_maps
@@ -243,15 +242,9 @@ def test_accept_03_cmi():
 
     cfg = parse_config(default_config())
     settings = cfg.blanket
-    ds_f = collect_transitions(
-        settings.env, uniform_random_policy, settings.steps, settings.seed, settings.discretizer
-    )
+    ds_f = collect_transitions(settings.env, settings.steps, settings.seed, settings.discretizer)
     ds_c = collect_transitions(
-        make_coupled_variant(settings.env, 0.2),
-        uniform_random_policy,
-        settings.steps,
-        settings.seed,
-        settings.discretizer,
+        make_coupled_variant(settings.env, 0.2), settings.steps, settings.seed, settings.discretizer
     )
     rep_f = conditional_mi(ds_f, settings.tol_lo, settings.tol_hi)
     rep_c = conditional_mi(ds_c, settings.tol_lo, settings.tol_hi)

@@ -162,14 +162,14 @@ def test_negative_weight_rejected():
 
 def test_collect_rejects_zero_steps():
     with pytest.raises(ConfigError):
-        collect_transitions(ci_env(), uniform_random_policy, 0, 0, ci_discretizer())
+        collect_transitions(ci_env(), 0, 0, ci_discretizer())
 
 
 def test_collect_deterministic_and_counted():
     env = ci_env()
     disc = ci_discretizer()
-    a = collect_transitions(env, uniform_random_policy, 500, 7, disc)
-    b = collect_transitions(env, uniform_random_policy, 500, 7, disc)
+    a = collect_transitions(env, 500, 7, disc)
+    b = collect_transitions(env, 500, 7, disc)
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.y, b.y)
     assert np.array_equal(a.z, b.z)
@@ -181,7 +181,7 @@ def test_factored_env_cmi_exactly_zero():
     # Lattice store dynamics and identity heat transfer make the next
     # internal symbol a function of the conditioning symbols, so the
     # plug-in estimate vanishes identically, noise and all.
-    ds = collect_transitions(ci_env(), uniform_random_policy, 20_000, 1, ci_discretizer())
+    ds = collect_transitions(ci_env(), 20_000, 1, ci_discretizer())
     report = conditional_mi(ds, tol_lo=1e-9, tol_hi=0.02)
     assert report.cmi_nats == 0.0
     assert report.verdict is CmiVerdict.Factored
@@ -190,7 +190,7 @@ def test_factored_env_cmi_exactly_zero():
 
 def test_coupled_env_cmi_positive_and_flagged():
     env = make_coupled_variant(ci_env(), 0.2)
-    ds = collect_transitions(env, uniform_random_policy, 20_000, 1, ci_discretizer())
+    ds = collect_transitions(env, 20_000, 1, ci_discretizer())
     report = conditional_mi(ds, tol_lo=1e-9, tol_hi=0.02)
     assert report.cmi_nats > 0.02
     assert report.verdict is CmiVerdict.Coupled
@@ -204,7 +204,7 @@ def test_coupled_cmi_increases_with_lambda():
         env = make_coupled_variant(ci_env(), lam)
         values = []
         for seed in range(10):
-            ds = collect_transitions(env, uniform_random_policy, 8_000, seed, ci_discretizer())
+            ds = collect_transitions(env, 8_000, seed, ci_discretizer())
             values.append(conditional_mi(ds, 1e-9, 0.02).cmi_nats)
         medians.append(statistics.median(values))
     assert medians[0] < medians[1] < medians[2]
@@ -341,7 +341,7 @@ def _collect_counted(monkeypatch, env, steps, seed, disc):
 
     monkeypatch.setattr(Discretizer, "internal_codes", counted_internal_codes)
     monkeypatch.setattr(blanket_mod, "respawn", counted_respawn)
-    return collect_transitions(env, uniform_random_policy, steps, seed, disc), calls
+    return collect_transitions(env, steps, seed, disc), calls
 
 
 def _assert_reference(ds, env, steps, seed, disc):
@@ -395,7 +395,7 @@ def test_collect_equals_the_reference_over_small_blocks(monkeypatch, coupled):
 
 
 def test_dataset_codes_are_read_only_int64():
-    ds = collect_transitions(ci_env(), uniform_random_policy, 50, 0, ci_discretizer())
+    ds = collect_transitions(ci_env(), 50, 0, ci_discretizer())
     for codes in (ds.x, ds.y, ds.z):
         assert codes.dtype == np.int64 and codes.shape == (50,)
         with pytest.raises(ValueError):
@@ -405,7 +405,7 @@ def test_dataset_codes_are_read_only_int64():
 def test_collect_rejects_discretizer_of_other_dimension():
     disc = Discretizer(internal_edges=ci_discretizer().internal_edges[:2])
     with pytest.raises(ConfigError, match="edge sets"):
-        collect_transitions(ci_env(), uniform_random_policy, 10, 0, disc)
+        collect_transitions(ci_env(), 10, 0, disc)
 
 
 @pytest.mark.parametrize("seed", [-1, -(2**40)])
@@ -417,7 +417,7 @@ def test_collect_rejects_a_negative_seed_before_any_step(monkeypatch, seed):
 
     monkeypatch.setattr(blanket_mod, "step_factored", no_step)
     with pytest.raises(ConfigError, match="seed"):
-        collect_transitions(ci_env(), uniform_random_policy, 10, seed, ci_discretizer())
+        collect_transitions(ci_env(), 10, seed, ci_discretizer())
 
 
 def test_symbolizer_rejects_code_spaces_beyond_int64(monkeypatch):
@@ -436,7 +436,7 @@ def test_symbolizer_rejects_code_spaces_beyond_int64(monkeypatch):
 
     def collect(rows, cols, disc):
         env = ci_env(grid=dataclasses.replace(ci_env().grid, rows=rows, cols=cols))
-        collect_transitions(env, uniform_random_policy, 10, 0, disc)
+        collect_transitions(env, 10, 0, disc)
 
     disc = Discretizer(internal_edges=((0.0,),) * 3)
     # rows * cols * 4 tags * 1 season = 2**63 codes: the largest, 2**63 - 1, fits.
@@ -502,11 +502,11 @@ def test_collect_retains_under_3_mib_at_20k_steps():
     # arrays and the counts table retain about 2.2 MiB.
     settings_ = parse_config(default_config()).blanket
     env, disc = settings_.env, settings_.discretizer
-    collect_transitions(env, uniform_random_policy, 100, 0, disc)  # fill the env's caches first
+    collect_transitions(env, 100, 0, disc)  # fill the env's caches first
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        ds = collect_transitions(env, uniform_random_policy, 20_000, settings_.seed, disc)
+        ds = collect_transitions(env, 20_000, settings_.seed, disc)
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -521,12 +521,12 @@ def test_collect_transient_memory_stays_under_1_mib(steps):
     # collection holds beyond its result does not grow with `steps`.
     settings_ = parse_config(default_config()).blanket
     env, disc = settings_.env, settings_.discretizer
-    collect_transitions(env, uniform_random_policy, 100, 0, disc)  # fill the env's caches first
+    collect_transitions(env, 100, 0, disc)  # fill the env's caches first
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        ds = collect_transitions(env, uniform_random_policy, steps, settings_.seed, disc)
+        ds = collect_transitions(env, steps, settings_.seed, disc)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

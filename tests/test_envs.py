@@ -19,12 +19,13 @@ from interoai.envs import (
     SeasonSchedule,
     SurvivalTracker,
     advance_season,
+    body_at,
     make_coupled_variant,
     reset,
     respawn,
     transition_maps,
 )
-from interoai.errors import ConfigError
+from interoai.errors import ConfigError, SchemaMismatch
 from interoai.harness.config import default_config, parse_config
 from interoai.homeostat import drive
 from interoai.rng import BLOCK, BlockStream, stream
@@ -407,6 +408,55 @@ def test_a_state_with_a_foreign_resource_map_steps_into_the_envs_world():
         moved = noisy_model.f_e(external, state.boundary, Action.MoveN, rng, t_next)
         assert (moved.agent_pos, moved.season) == ((0, 1), season)
         assert moved.resource_map is noisy.grid.table[season].tags
+
+
+def test_a_state_with_a_foreign_resource_map_respawns_into_its_seasons_world():
+    # respawn keeps the dead body's season, field and clock, not its resource map.
+    env = make_tiny_env()
+    noisy = dataclasses.replace(env, grid=dataclasses.replace(env.grid, noise_std=1.0))
+    foreign = tuple(tuple(Tag.Food for _ in row) for row in env.grid.table[0].tags)
+    r, c = env.grid.start
+    for world in (env, noisy):
+        model = transition_maps(world)
+        start = reset(world, 0)
+        for t, season in ((0, 0), (env.schedule.period - 1, 1)):
+            stepped = step_factored(model, dataclasses.replace(start, t=t), Action.MoveN, stream(0, 0, "env"))
+            dead = dataclasses.replace(
+                stepped, external=dataclasses.replace(stepped.external, resource_map=foreign)
+            )
+            reborn = respawn(world, dead)
+            grids = world.grid.table[season]
+            assert reborn.external.resource_map is grids.tags
+            assert reborn.external.ambient_field is stepped.external.ambient_field
+            assert (reborn.external.agent_pos, reborn.external.season, reborn.t) == ((r, c), season, t + 1)
+            if world is env:
+                assert reborn.external is grids.states[r][c]
+
+
+def test_respawning_a_state_of_a_season_the_world_lacks_raises():
+    env = make_tiny_env()
+    noisy = dataclasses.replace(env, grid=dataclasses.replace(env.grid, noise_std=1.0))
+    for world in (env, noisy):
+        state = reset(world, 0)
+        for season in (-1, len(world.grid.seasons)):
+            stray = dataclasses.replace(state, external=dataclasses.replace(state.external, season=season))
+            with pytest.raises(SchemaMismatch, match=f"season {season} outside"):
+                respawn(world, stray)
+
+
+def test_body_at_rests_a_body_on_a_cell():
+    env = make_tiny_env()
+    internal = InternalState((0.2, 0.3, 36.0))
+    grids = env.grid.table[1]
+    own = body_at(env, internal, (0, 2), 1, grids.field, 7)
+    assert own.external is grids.states[0][2]
+    assert (own.internal, own.t) == (internal, 7)
+    assert own.boundary == BoundaryState(grids.field[0][2], 0.0, 0.0)
+    field = tuple(tuple(v + 0.5 for v in row) for row in grids.field)
+    drawn = body_at(env, internal, (0, 2), 1, field, 7)
+    assert drawn.external == dataclasses.replace(grids.states[0][2], ambient_field=field)
+    assert drawn.external.resource_map is grids.tags
+    assert drawn.boundary == BoundaryState(field[0][2], 0.0, 0.0)
 
 
 def test_a_noisy_world_never_hands_out_a_table_state():
