@@ -150,35 +150,26 @@ FInternalLeak = Callable[
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class StateSchema:
-    """Dimensions a model expects of the states it is stepped with."""
-
-    internal_dim: int
-    rows: int
-    cols: int
-    seasons: int
-
-
 @dataclass(frozen=True)
 class TransitionModel:
-    """The three update maps, the state schema, and an optional blanket-violating leak.
+    """The three update maps, the world they step, and an optional blanket-violating leak.
 
     `internal_leak` replaces `f_i` when set.  The factored build keeps it
     None so the internal update cannot read the external state at all.
 
     `states[season][row][col]` is the external state the env built for
-    each cell in each season, over that season's grids; empty for a model
-    built without a table.  `check_schema` trusts a state whole when it is
-    its own table entry, and skips a grid that is that entry's grid.
+    each cell in each season, over that season's grids.  It is the world's
+    one description: `check_schema` reads the season count, rows and
+    columns from its shape, trusts a state whole when it is its own table
+    entry, and skips a grid that is that entry's grid.
     """
 
     f_b: FBoundary
     f_i: FInternal
     f_e: FExternal
-    schema: StateSchema
+    internal_dim: int
+    states: tuple = field(repr=False, compare=False)
     internal_leak: Optional[FInternalLeak] = None
-    states: tuple = field(default=(), repr=False, compare=False)
 
 
 def _check_grid(grid, rows: int, cols: int, what: str) -> None:
@@ -197,28 +188,31 @@ def _check_pos(pos: tuple[int, int], rows: int, cols: int, what: str) -> None:
 
 
 def check_schema(model: TransitionModel, state: FactoredState) -> None:
-    """Raise SchemaMismatch unless the state fits the model's schema.
+    """Raise SchemaMismatch unless the state fits the model's world.
 
-    After the internal dimension, the cell and the season are checked, a state
-    that is `model.states[season][row][col]` passes, and a grid of it is not scanned.
+    The internal dimension is `model.internal_dim`; the season count, rows
+    and columns are the shape of `model.states`.  After the internal
+    dimension, the cell and the season are checked, a state that is
+    `model.states[season][row][col]` passes, and a grid of it is not scanned.
     """
-    schema = model.schema
-    if len(state.internal.values) != schema.internal_dim:
+    if len(state.internal.values) != model.internal_dim:
         raise SchemaMismatch(
-            f"internal dimension {len(state.internal)} != schema {schema.internal_dim}"
+            f"internal dimension {len(state.internal)} != schema {model.internal_dim}"
         )
+    table = model.states
+    seasons, rows, cols = len(table), len(table[0]), len(table[0][0])
     ext = state.external
-    _check_pos(ext.agent_pos, schema.rows, schema.cols, "agent_pos")
-    if not 0 <= ext.season < schema.seasons:
-        raise SchemaMismatch(f"season {ext.season} outside [0, {schema.seasons})")
+    _check_pos(ext.agent_pos, rows, cols, "agent_pos")
+    if not 0 <= ext.season < seasons:
+        raise SchemaMismatch(f"season {ext.season} outside [0, {seasons})")
     r, c = ext.agent_pos
-    own = model.states[ext.season][r][c] if model.states else None
+    own = table[ext.season][r][c]
     if own is ext:
         return
-    if own is None or ext.resource_map is not own.resource_map:
-        _check_grid(ext.resource_map, schema.rows, schema.cols, "resource_map")
-    if own is None or ext.ambient_field is not own.ambient_field:
-        _check_grid(ext.ambient_field, schema.rows, schema.cols, "ambient_field")
+    if ext.resource_map is not own.resource_map:
+        _check_grid(ext.resource_map, rows, cols, "resource_map")
+    if ext.ambient_field is not own.ambient_field:
+        _check_grid(ext.ambient_field, rows, cols, "ambient_field")
 
 
 def internal_update(

@@ -40,7 +40,6 @@ from .core import (
     ExternalState,
     FactoredState,
     InternalState,
-    StateSchema,
     Tag,
     TransitionModel,
 )
@@ -68,12 +67,11 @@ class SeasonSpec:
 
 
 class SeasonGrids(NamedTuple):
-    """One season's resource map, noise-free ambient field, that field's
-    read-only array, and the external state of every cell over those grids."""
+    """One season's resource map, noise-free ambient field, and the external
+    state of every cell over those grids."""
 
     tags: tuple[tuple[Tag, ...], ...]
     field: tuple[tuple[float, ...], ...]
-    base: np.ndarray
     states: tuple[tuple[ExternalState, ...], ...]
 
 
@@ -101,17 +99,15 @@ class GridSpec:
             field = tuple(
                 tuple(shaded if tag == Tag.Shade else season.baseline for tag in row) for row in tags
             )
-            base = np.array(field, dtype=np.float64)
-            base.flags.writeable = False
             states = tuple(
                 tuple(ExternalState((r, c), tags, field, s_idx) for c in range(self.cols))
                 for r in range(self.rows)
             )
-            table.append(SeasonGrids(tags, field, base, states))
+            table.append(SeasonGrids(tags, field, states))
         return tuple(table)
 
     def __getstate__(self) -> dict:
-        """The fields without `table`, so a copy or another process builds its own read-only one."""
+        """The fields without `table`, so a copy or another process builds its own."""
         state = dict(self.__dict__)
         state.pop("table", None)
         return state
@@ -146,10 +142,6 @@ class HomeoGridEnv:
 
     def __post_init__(self) -> None:
         validate_env(self)
-
-    @property
-    def schema(self) -> StateSchema:
-        return StateSchema(INTERNAL_DIM, self.grid.rows, self.grid.cols, len(self.grid.seasons))
 
 
 def validate_env(env: HomeoGridEnv) -> None:
@@ -247,7 +239,7 @@ def reset(env: HomeoGridEnv, seed: int) -> FactoredState:
     grids = env.grid.table[season]
     field = grids.field
     if env.grid.noise_std > 0.0:
-        field = _noisy_field(grids.base, env.grid.noise_std, stream(seed, 0, "env-reset"))
+        field = _noisy_field(np.array(field), env.grid.noise_std, stream(seed, 0, "env-reset"))
     internal = InternalState(tuple(env.drive_model.set_point))
     return body_at(env, internal, env.grid.start, season, field, 0)
 
@@ -273,8 +265,8 @@ def transition_maps(env: HomeoGridEnv) -> TransitionModel:
 
     season_grids = grid.table
     noise_std = grid.noise_std
-    shape = season_grids[0].base.shape
-    bases = np.stack([g.base for g in season_grids])
+    bases = np.array([g.field for g in season_grids])
+    shape = bases.shape[1:]
     consume, food, water = Action.Consume, Tag.Food, Tag.Water
     # The block stream's current block and its fields `[row, season]`: one slot,
     # read once per call, so threads sharing the model never mix two blocks.
@@ -363,7 +355,7 @@ def transition_maps(env: HomeoGridEnv) -> TransitionModel:
                     held = (block, fields)
                 field = tuple(map(tuple, fields[row, season].tolist()))
             else:
-                field = _noisy_field(grids.base, noise_std, rng)
+                field = _noisy_field(bases[season], noise_std, rng)
             return ExternalState(pos, grids.tags, field, season)
         return states[season][pos[0]][pos[1]]
 
@@ -371,9 +363,9 @@ def transition_maps(env: HomeoGridEnv) -> TransitionModel:
         f_b=f_b,
         f_i=f_i,
         f_e=f_e,
-        schema=env.schema,
-        internal_leak=f_i_leak if lam > 0.0 else None,
+        internal_dim=INTERNAL_DIM,
         states=states,
+        internal_leak=f_i_leak if lam > 0.0 else None,
     )
 
 

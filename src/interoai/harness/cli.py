@@ -16,7 +16,8 @@ from statistics import mean, median
 
 from ..errors import ConfigError, RuntimeFailure
 from . import config
-from .export import export, read_log_csv
+from .export import export, format_value, read_log_csv
+from .metrics import log_metrics
 from .runner import run, sweep, verify_blanket
 
 log = logging.getLogger("interoai")
@@ -31,7 +32,10 @@ def _setup_logging() -> None:
     level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
         os.environ.get("IAI_LOG", "error").lower(), logging.ERROR
     )
+    # basicConfig gives the standalone CLI its handler but does nothing once the
+    # root logger has one, so the level is set on the package's own logger.
     logging.basicConfig(level=level, format="[%(levelname)s] %(name)s: %(message)s")
+    log.setLevel(level)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -98,18 +102,28 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check_logs_match_rows(metrics_path: Path, text: str, logs: list[Path]) -> None:
-    """Raise RuntimeFailure unless the logs are exactly one per seed row of `text`.
+def _seed_rows(text: str) -> dict[str, dict[str, str]]:
+    """The per-seed rows of a metrics table: each row's cells by column, keyed
+    by its seed cell.  The summary rows carry a label, not a seed, under `seed`."""
+    lines = text.splitlines()
+    header = lines[0].split(",") if lines else []
+    rows = {}
+    for line in lines[1:]:
+        cells = line.split(",")
+        if cells[0].isdecimal():
+            rows[cells[0]] = dict(zip(header, cells))
+    return rows
+
+
+def _check_logs_match_rows(metrics_path: Path, rows: dict, logs: list[Path]) -> None:
+    """Raise RuntimeFailure unless the logs are exactly one per seed row.
 
     A sweep writes one log per seed and then the metrics table, so a log with
-    no row, or a row with no log, was left by another run or sweep.  The
-    summary rows carry a label, not a seed, under `seed`.
+    no row, or a row with no log, was left by another run or sweep.
     """
-    cells = (line.split(",", 1)[0] for line in text.splitlines()[1:])
-    row_seeds = {cell for cell in cells if cell.isdecimal()}
     log_seeds = {path.name: path.stem.removeprefix("log_seed") for path in logs}
-    stray = [name for name, seed in log_seeds.items() if seed not in row_seeds]
-    missing = sorted(row_seeds.difference(log_seeds.values()), key=int)
+    stray = [name for name, seed in log_seeds.items() if seed not in rows]
+    missing = sorted(set(rows).difference(log_seeds.values()), key=int)
     problems = []
     if stray:
         problems.append(f"logs with no row: {', '.join(stray)}")
@@ -120,30 +134,41 @@ def _check_logs_match_rows(metrics_path: Path, text: str, logs: list[Path]) -> N
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    """Check every log against its metrics row, then print the table and the drive summary.
+
+    A log whose recomputed `log_metrics` columns differ from its row (a log cut
+    short, or rewritten since the sweep) fails the report before anything is printed.
+    """
     directory = Path(args.in_dir)
     if not directory.is_dir():
         raise RuntimeFailure(f"no results directory {directory}")
     metrics_path = directory / "metrics.csv"
     logs = sorted(directory.glob("log_seed*.csv"))
-    if metrics_path.exists():
-        text = metrics_path.read_text(encoding="utf-8")
-        _check_logs_match_rows(metrics_path, text, logs)
-        print(text.rstrip("\n"))
-    else:
-        print(f"no metrics.csv in {directory}")
-    if logs:
-        drives = []
-        for path in logs:
-            try:
-                episode_log = read_log_csv(path)
-            except ValueError as exc:
-                raise RuntimeFailure(f"malformed log {path}: {exc}") from exc
-            if episode_log.steps:
-                drives.append(mean(r.drive for r in episode_log.steps))
-            if args.plots:
-                print(f"wrote {export(episode_log, path.with_suffix('.svg'))}")
-        if drives:
-            print(f"{len(logs)} logs, mean drive across seeds: {mean(drives):.6g}")
+    text = metrics_path.read_text(encoding="utf-8") if metrics_path.exists() else None
+    rows = None if text is None else _seed_rows(text)
+    if rows is not None:
+        _check_logs_match_rows(metrics_path, rows, logs)
+    drives, plotted = [], []
+    for path in logs:
+        try:
+            episode_log = read_log_csv(path)
+        except ValueError as exc:
+            raise RuntimeFailure(f"malformed log {path}: {exc}") from exc
+        values = log_metrics(episode_log.steps)
+        if rows is not None:
+            row = rows[path.stem.removeprefix("log_seed")]
+            wrong = [name for name, value in values.items() if format_value(value) != row.get(name)]
+            if wrong:
+                raise RuntimeFailure(f"{path} disagrees with its row in {metrics_path}: {', '.join(wrong)}")
+        if episode_log.steps:
+            drives.append(values["mean_drive"])
+        if args.plots:
+            plotted.append((path, episode_log))
+    print(text.rstrip("\n") if text is not None else f"no metrics.csv in {directory}")
+    for path, episode_log in plotted:
+        print(f"wrote {export(episode_log, path.with_suffix('.svg'))}")
+    if drives:
+        print(f"{len(logs)} logs, mean drive across seeds: {mean(drives):.6g}")
     return EXIT_OK
 
 

@@ -176,6 +176,22 @@ def last_switch_recovery(records: Sequence[StepRecord], first_season: int) -> fl
     return recovery_time([rec.drive for rec in records], switch_idx)
 
 
+def log_metrics(records: Sequence[StepRecord]) -> dict:
+    """The metrics columns a run's log alone determines, by column name.
+
+    `build_metrics_row` fills these columns from a run's records, and
+    `report` recomputes them from the written log to check its row.
+    """
+    return {
+        "survival_steps": survival_steps(records),
+        "viability_fraction": viability_fraction([r.in_viability for r in records]),
+        "mean_drive": mean([r.drive for r in records]) if records else float("nan"),
+        "visits_food": sum(1 for r in records if r.tag == "Food"),
+        "visits_water": sum(1 for r in records if r.tag == "Water"),
+        "visits_shade": sum(1 for r in records if r.tag == "Shade"),
+    }
+
+
 def build_metrics_row(
     seed: int,
     records: Sequence[StepRecord],
@@ -183,17 +199,11 @@ def build_metrics_row(
     entropy_satiated: float,
     entropy_deficit: float,
 ) -> MetricsRow:
-    flags = [r.in_viability for r in records]
     return MetricsRow(
         seed=seed,
-        survival_steps=survival_steps(records),
-        viability_fraction=viability_fraction(flags),
-        mean_drive=mean([r.drive for r in records]) if records else float("nan"),
         entropy_satiated=entropy_satiated,
         entropy_deficit=entropy_deficit,
         recovery_time=last_switch_recovery(records, first_season),
         retention=retention_score(records, first_season),
-        visits_food=sum(1 for r in records if r.tag == "Food"),
-        visits_water=sum(1 for r in records if r.tag == "Water"),
-        visits_shade=sum(1 for r in records if r.tag == "Shade"),
+        **log_metrics(records),
     )

@@ -33,7 +33,8 @@ def test_identity_model_increments_time_only():
         f_b=lambda i, e, a: state.boundary,
         f_i=lambda i, b, a: i,
         f_e=lambda e, b, a, rng, t: e,
-        schema=env.schema,
+        internal_dim=3,
+        states=transition_maps(env).states,
     )
     nxt = step_factored(model, state, Action.Rest, stream(0, 0, "env"))
     assert nxt.internal == state.internal

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import logging
 import math
 import weakref
 from pathlib import Path
@@ -930,6 +931,33 @@ def test_cli_report_names_a_row_whose_log_is_gone(tmp_path, capsys):
     (tmp_path / "log_seed1.csv").unlink()
     assert main(["report", "--in", str(tmp_path)]) == 2
     _assert_one_line_runtime_failure(capsys.readouterr().err, "rows with no log: seed 1")
+
+
+def test_cli_report_rejects_a_log_cut_short_at_a_row_boundary(tmp_path, capsys):
+    # A log cut after whole rows still parses; its recomputed columns differ
+    # from the row the sweep wrote, so report prints nothing and exits 2.
+    sweep(parse_config(quick_config_doc(train_steps=0, eval_steps=40, seeds=[0, 1])), str(tmp_path))
+    path = tmp_path / "log_seed1.csv"
+    path.write_text("\n".join(path.read_text(encoding="utf-8").split("\n")[:21]) + "\n", encoding="utf-8")
+    assert len(read_log_csv(path).steps) == 20
+    assert main(["report", "--in", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    _assert_one_line_runtime_failure(captured.err, "log_seed1.csv", "mean_drive")
+    assert "log_seed0.csv" not in captured.err
+    assert captured.out == ""
+
+
+def test_iai_log_reaches_the_package_logger_when_the_root_has_a_handler(tmp_path, monkeypatch, caplog):
+    # caplog's handler on the root logger makes logging.basicConfig a no-op.
+    monkeypatch.setenv("IAI_LOG", "info")
+    logger = logging.getLogger("interoai")
+    level = logger.level
+    cfg_path = _write_config(tmp_path, quick_config_doc(seeds=[0]))
+    try:
+        assert main(["run", "--config", cfg_path, "--seed", "0", "--out", str(tmp_path / "out")]) == 0
+    finally:
+        logger.setLevel(level)
+    assert any(r.getMessage().startswith("run seed=0 finished") for r in caplog.records)
 
 
 def test_cli_runtime_failure_exit_code(tmp_path, monkeypatch):
