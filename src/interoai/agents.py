@@ -181,9 +181,11 @@ def q_select(q: QTable, obs: ObsKey, tau: float, rng: np.random.Generator) -> Ac
     row = q.row(obs)
     top = max(row)
     exps = []
+    z = 0.0  # added left to right, never by `sum()` (compensated from Python 3.12)
     for v in row:  # a loop, not a comprehension: no frame per call before Python 3.12
-        exps.append(exp((v - top) / tau))
-    z = sum(exps)
+        e = exp((v - top) / tau)
+        exps.append(e)
+        z += e
     u = rng.random()
     acc = 0.0
     i = 0

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Iterator, Mapping
@@ -96,14 +97,14 @@ class TransitionDataset:
     Transition t has x[t], the internal code of i_{t+1}, and y[t] and z[t],
     the `blanket_codes` of e_t and of (i_t, b_t, a_t), in read-only int64
     arrays.  `counts` maps each distinct (x, y, z) to its number of
-    transitions, in the order the keys were first seen; weights sum to the
-    number of transitions.
+    transitions, in the order the keys were first seen; the counts sum to
+    the number of transitions.
     """
 
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
-    counts: dict[tuple[int, int, int], float]
+    counts: dict[tuple[int, int, int], int]
 
     def __len__(self) -> int:
         return len(self.x)
@@ -134,8 +135,7 @@ def collect_transitions(
         raise ConfigError(f"{dims} internal values vs {len(d.internal_edges)} edge sets")
     walk = rollout(env, uniform_random_policy, seed, "blanket-policy", "blanket-env")
     x, y, z = (np.empty(steps, dtype=np.int64) for _ in range(3))
-    counts: dict[tuple[int, int, int], float] = {}
-    count = counts.get
+    counts: Counter[tuple[int, int, int]] = Counter()
     i_code = 0  # the code of the last i_{t+1}; the first block starts with a fresh body
     fresh = True  # the state's body was not reached by a step: reset or respawned
     block = rng.BLOCK
@@ -172,8 +172,7 @@ def collect_transitions(
         x[start : start + n] = xb
         y[start : start + n] = yb
         z[start : start + n] = zb
-        for key in zip(xb.tolist(), yb.tolist(), zb.tolist()):
-            counts[key] = count(key, 0.0) + 1.0
+        counts.update(zip(xb.tolist(), yb.tolist(), zb.tolist()))
     for codes in (x, y, z):
         codes.setflags(write=False)
     return TransitionDataset(x, y, z, counts)

@@ -76,7 +76,7 @@ def read_log_csv(path: str | Path) -> EpisodeLog:
         steps.append(StepRecord(*(parse(cell) for parse, cell in cells)))
     seed_token = Path(path).stem.rsplit("seed", 1)
     seed = int(seed_token[1]) if len(seed_token) == 2 and seed_token[1].isdigit() else -1
-    return EpisodeLog(seed=seed, agent_kind="", steps=steps, terminal="")
+    return EpisodeLog(seed=seed, steps=steps, terminal="")
 
 
 def drive_svg_text(log: EpisodeLog) -> str:

@@ -55,7 +55,6 @@ class EpisodeLog:
     """The evaluated window of one run."""
 
     seed: int
-    agent_kind: str
     steps: list[StepRecord]
     terminal: str  # Alive or Dead at the end of the window
 
@@ -148,7 +147,9 @@ def recovery_time(drives: Sequence[float], switch_idx: int) -> float:
     remaining = len(drives) - switch_idx
     if remaining < window:
         return float(remaining)
-    acc = sum(drives[switch_idx : switch_idx + window])
+    acc = 0.0  # added left to right, never by `sum()` (compensated from Python 3.12)
+    for d in drives[switch_idx : switch_idx + window]:
+        acc += d
     j = window
     while True:
         if abs(acc / window - pre) <= tol:

@@ -120,7 +120,7 @@ def execute_run(config: ExperimentConfig, seed: int) -> RunResult:
     ent_def = mean(e for _, _, e in entropies) if entropies else float("nan")
     row = build_metrics_row(seed, records, env.schedule.order[0], ent_sat, ent_def)
     terminal = "Dead" if dead else "Alive"
-    episode_log = EpisodeLog(seed=seed, agent_kind=config.agent.kind, steps=records, terminal=terminal)
+    episode_log = EpisodeLog(seed=seed, steps=records, terminal=terminal)
     return RunResult(log=episode_log, metrics=row, agent=agent)
 
 
@@ -155,9 +155,10 @@ def probe_entropies(agent, env: HomeoGridEnv, seed: int) -> list[tuple[tuple[int
             for internal in (satiated, deficit):
                 probe = body_at(env, internal, (r, c), season, field, 0)
                 counts = Counter(agent.act(probe, rng) for _ in range(PROBE_SAMPLES))
-                cell_entropy.append(
-                    -sum((n / PROBE_SAMPLES) * ln(n / PROBE_SAMPLES) for n in counts.values())
-                )
+                acc = 0.0  # added left to right, never by `sum()` (compensated from Python 3.12)
+                for n in counts.values():
+                    acc += (n / PROBE_SAMPLES) * ln(n / PROBE_SAMPLES)
+                cell_entropy.append(-acc)
             out.append(((r, c), cell_entropy[0], cell_entropy[1]))
     return out
 
@@ -167,9 +168,6 @@ def run(config: ExperimentConfig, seed: int, out_dir: str | None = None) -> RunR
     result = execute_run(config, seed)
     directory = Path(out_dir if out_dir is not None else config.run.out_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    # A table left by an earlier sweep would no longer describe this log;
-    # a sweep writes its own table only after its last run.
-    (directory / "metrics.csv").unlink(missing_ok=True)
     export(result.log, directory / f"log_seed{seed}.csv")
     log.info("run seed=%d finished: %d steps, terminal=%s", seed, len(result.log.steps), result.log.terminal)
     return result

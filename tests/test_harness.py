@@ -573,9 +573,10 @@ def test_sweep_rows_plus_summary(quick_cfg, tmp_path):
 def test_interrupted_sweep_leaves_no_stale_metrics_table(tmp_path, monkeypatch, capsys):
     import interoai.harness.runner as runner_mod
 
+    """The earlier sweep's table stays, so `report` refuses the mixed logs it no longer describes."""
     first = parse_config(quick_config_doc(train_steps=0, eval_steps=20, seeds=[0, 1]))
     sweep(first, str(tmp_path))
-    assert (tmp_path / "metrics.csv").exists()
+    table = (tmp_path / "metrics.csv").read_bytes()
     real = runner_mod.execute_run
 
     def interrupted_at_seed_1(config, seed):
@@ -588,19 +589,24 @@ def test_interrupted_sweep_leaves_no_stale_metrics_table(tmp_path, monkeypatch, 
     with pytest.raises(KeyboardInterrupt):
         sweep(other, str(tmp_path))
     assert len(read_log_csv(tmp_path / "log_seed0.csv").steps) == 30
-    assert not (tmp_path / "metrics.csv").exists()
-    assert main(["report", "--in", str(tmp_path)]) == 0
-    assert "no metrics.csv" in capsys.readouterr().out
+    assert (tmp_path / "metrics.csv").read_bytes() == table
+    assert main(["report", "--in", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    _assert_one_line_runtime_failure(captured.err, "log_seed0.csv disagrees with its row")
+    assert captured.out == ""
 
 
 def test_run_after_a_sweep_leaves_no_stale_metrics_table(tmp_path, capsys):
+    """`run` leaves the sweep's table byte-identical, and `report` refuses the log it no longer describes."""
     sweep(parse_config(quick_config_doc(train_steps=0, eval_steps=20, seeds=[0, 1])), str(tmp_path))
-    assert (tmp_path / "metrics.csv").exists()
+    table = (tmp_path / "metrics.csv").read_bytes()
     run(parse_config(quick_config_doc(train_steps=0, eval_steps=50, seeds=[0])), 0, str(tmp_path))
     assert len(read_log_csv(tmp_path / "log_seed0.csv").steps) == 50
-    assert not (tmp_path / "metrics.csv").exists()
-    assert main(["report", "--in", str(tmp_path)]) == 0
-    assert f"no metrics.csv in {tmp_path}" in capsys.readouterr().out
+    assert (tmp_path / "metrics.csv").read_bytes() == table
+    assert main(["report", "--in", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    _assert_one_line_runtime_failure(captured.err, "log_seed0.csv disagrees with its row")
+    assert captured.out == ""
 
 
 def test_metrics_header_contract():
@@ -945,6 +951,15 @@ def test_cli_report_rejects_a_log_cut_short_at_a_row_boundary(tmp_path, capsys):
     _assert_one_line_runtime_failure(captured.err, "log_seed1.csv", "mean_drive")
     assert "log_seed0.csv" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("kind", ["Random", "ExternalRewardQ", "HomeostaticQ", "Neuromod"])
+def test_cli_report_accepts_what_sweep_writes(tmp_path, capsys, kind):
+    doc = quick_config_doc(seeds=[0])
+    doc["agent"]["kind"] = kind
+    sweep(parse_config(doc), str(tmp_path))
+    assert main(["report", "--in", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("1 logs, mean drive across seeds: ")
 
 
 def test_iai_log_reaches_the_package_logger_when_the_root_has_a_handler(tmp_path, monkeypatch, caplog):
