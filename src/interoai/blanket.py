@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Iterator, Mapping
 
 import numpy as np
@@ -92,22 +92,47 @@ def blanket_codes(discretizer: Discretizer, grid: GridSpec, i, b, row, col, tag,
 
 @dataclass(frozen=True, eq=False)
 class TransitionDataset:
-    """Integer-coded transitions plus the joint counts table.
+    """Integer-coded transitions; their joint table is derived on first use.
 
     Transition t has x[t], the internal code of i_{t+1}, and y[t] and z[t],
     the `blanket_codes` of e_t and of (i_t, b_t, a_t), in read-only int64
-    arrays.  `counts` maps each distinct (x, y, z) to its number of
-    transitions, in the order the keys were first seen; the counts sum to
-    the number of transitions.
+    arrays.  `keys` (k x 3 int64) holds each distinct (x, y, z) row and
+    `counts` (k int64) its number of transitions, both in the order the rows
+    were first seen; the counts sum to the number of transitions.
     """
 
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
-    counts: dict[tuple[int, int, int], int]
 
     def __len__(self) -> int:
         return len(self.x)
+
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        columns = (self.x, self.y, self.z)
+        order = np.lexsort(columns[::-1])  # stable: equal rows stay in transition order
+        starts = np.zeros(len(order), dtype=bool)
+        starts[:1] = True
+        for codes in columns:  # a run of equal rows starts where any column changes
+            ranked = codes[order]
+            starts[1:] |= ranked[1:] != ranked[:-1]
+        runs = np.flatnonzero(starts)
+        firsts = order[runs]  # each run's first transition
+        seen = np.argsort(firsts)
+        keys = np.stack([codes[firsts[seen]] for codes in columns], axis=1)
+        counts = np.diff(runs, append=len(order))[seen]
+        for table in (keys, counts):
+            table.setflags(write=False)
+        return keys, counts
+
+    @property
+    def keys(self) -> np.ndarray:
+        return self._table[0]
+
+    @property
+    def counts(self) -> np.ndarray:
+        return self._table[1]
 
 
 def collect_transitions(
@@ -135,7 +160,6 @@ def collect_transitions(
         raise ConfigError(f"{dims} internal values vs {len(d.internal_edges)} edge sets")
     walk = rollout(env, uniform_random_policy, seed, "blanket-policy", "blanket-env")
     x, y, z = (np.empty(steps, dtype=np.int64) for _ in range(3))
-    counts: Counter[tuple[int, int, int]] = Counter()
     i_code = 0  # the code of the last i_{t+1}; the first block starts with a fresh body
     fresh = True  # the state's body was not reached by a step: reset or respawned
     block = rng.BLOCK
@@ -172,10 +196,9 @@ def collect_transitions(
         x[start : start + n] = xb
         y[start : start + n] = yb
         z[start : start + n] = zb
-        counts.update(zip(xb.tolist(), yb.tolist(), zb.tolist()))
     for codes in (x, y, z):
         codes.setflags(write=False)
-    return TransitionDataset(x, y, z, counts)
+    return TransitionDataset(x, y, z)
 
 
 class CmiVerdict(Enum):
@@ -192,45 +215,65 @@ class CmiReport:
     verdict: CmiVerdict
 
 
+def _ranks(codes: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each code's rank among the distinct codes, and how many there are."""
+    distinct, ranks = np.unique(codes, return_inverse=True)
+    return ranks.reshape(-1), len(distinct)
+
+
+def _table_cmi(keys: np.ndarray, weights: np.ndarray) -> tuple[float, tuple[int, int, int]]:
+    """Plug-in I(X; Y | Z) in nats of a weighted table, and its alphabet sizes.
+
+    Row r of `keys` is an integer-coded (x, y, z) of non-negative float64
+    weight `weights[r]`, and the total weight is positive.  Each marginal
+    weight is added row by row in table order (a weighted `np.bincount`);
+    the terms of the rows of positive weight, and the total, are each added
+    left to right (`np.cumsum`, not the pairwise `np.sum`), and the logs are
+    `math.log`'s: `blanket.json`'s bytes depend on every bit of the result.
+    """
+    (x, xs), (y, ys), (z, zs) = (_ranks(column) for column in keys.T)
+    xz, yz = _ranks(z * xs + x)[0], _ranks(z * ys + y)[0]
+    n_z, n_xz, n_yz = (np.bincount(cell, weights)[cell] for cell in (z, xz, yz))
+    held = weights > 0.0
+    c = weights[held]
+    ratios = (c * n_z[held]) / (n_xz[held] * n_yz[held])
+    terms = c * np.fromiter(map(math.log, ratios.tolist()), dtype=np.float64, count=len(c))
+    cmi = float(np.cumsum(terms)[-1]) / float(np.cumsum(weights)[-1])
+    return max(cmi, 0.0), (xs, ys, zs)
+
+
 def cmi_from_counts(counts: Mapping[tuple, float]) -> float:
     """Plug-in I(X; Y | Z) in nats from weights keyed (x, y, z).
 
-    Accepts arbitrary non-negative weights, so the exact joint distribution
-    of an enumerated toy system can be fed in directly; a NaN or infinite
-    weight raises NonFiniteValue and a negative one NegativeWeight.
+    Accepts arbitrary non-negative weights over hashable symbols, so the
+    exact joint distribution of an enumerated toy system can be fed in
+    directly; a NaN or infinite weight raises NonFiniteValue, a negative one
+    NegativeWeight, and a table of no positive weight EmptyDataset.  Each
+    column's symbols are coded in first-seen order and the table is
+    estimated by the same core as `conditional_mi`.
     """
-    weights = counts.values()
-    if not all(map(math.isfinite, weights)):
+    weights = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
+    if not np.isfinite(weights).all():
         raise NonFiniteValue("counts table holds a non-finite weight")
-    if any(c < 0.0 for c in weights):
+    if (weights < 0.0).any():
         raise NegativeWeight("counts table holds a negative weight")
-    total = sum(weights)
-    if total <= 0.0:
+    if not weights.any():
         raise EmptyDataset("counts table is empty")
-    n_xz: dict[tuple, float] = {}
-    n_yz: dict[tuple, float] = {}
-    n_z: dict[tuple, float] = {}
-    for (x, y, z), c in counts.items():
-        n_xz[(x, z)] = n_xz.get((x, z), 0.0) + c
-        n_yz[(y, z)] = n_yz.get((y, z), 0.0) + c
-        n_z[z] = n_z.get(z, 0.0) + c
-    acc = 0.0
-    for (x, y, z), c in counts.items():
-        if c <= 0.0:
-            continue
-        acc += c * math.log((c * n_z[z]) / (n_xz[(x, z)] * n_yz[(y, z)]))
-    return max(acc / total, 0.0)
+    codes: tuple[dict, dict, dict] = ({}, {}, {})  # per column: symbol -> its first-seen rank
+    keys = np.array(
+        [[column.setdefault(symbol, len(column)) for column, symbol in zip(codes, key)] for key in counts],
+        dtype=np.int64,
+    )
+    return _table_cmi(keys, weights)[0]
 
 
 def conditional_mi(ds: TransitionDataset, tol_lo: float, tol_hi: float) -> CmiReport:
-    """Estimate I(I_{t+1}; E_t | I_t, B_t, A_t) and classify the result:
-    Factored below `tol_lo`, Coupled above `tol_hi`, Inconclusive between."""
+    """Estimate I(I_{t+1}; E_t | I_t, B_t, A_t) over the dataset's joint table
+    and classify the result: Factored below `tol_lo`, Coupled above `tol_hi`,
+    Inconclusive between.  The alphabet sizes count the distinct x, y and z."""
     if len(ds) == 0:
         raise EmptyDataset("dataset holds no transitions")
-    cmi = cmi_from_counts(ds.counts)
-    xs = {k[0] for k in ds.counts}
-    ys = {k[1] for k in ds.counts}
-    zs = {k[2] for k in ds.counts}
+    cmi, sizes = _table_cmi(ds.keys, ds.counts.astype(np.float64))
     if cmi < tol_lo:
         verdict = CmiVerdict.Factored
     elif cmi > tol_hi:
@@ -240,7 +283,7 @@ def conditional_mi(ds: TransitionDataset, tol_lo: float, tol_hi: float) -> CmiRe
     return CmiReport(
         cmi_nats=cmi,
         sample_count=len(ds),
-        alphabet_sizes=(len(xs), len(ys), len(zs)),
+        alphabet_sizes=sizes,
         verdict=verdict,
     )
 

@@ -4,6 +4,8 @@ Nothing here shares code with the package paths under test: conditional
 mutual information is computed from explicit conditional-probability
 tables, optimal action values come from value iteration over an
 enumerated MDP, and symbols are tuples binned with `bisect_right`.  The
+verifier's first plug-in estimator, over tuple-keyed marginal dicts, is
+kept as the bitwise reference of the array estimator.  The
 learner step's earlier algorithms are kept here as step-by-step references:
 the softmax as a probability tuple walked in a second loop, the drive and
 the dominant deficit as two passes, and the TD backup as get, max, set.
@@ -14,6 +16,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from itertools import product
+
+from interoai.errors import EmptyDataset, NegativeWeight, NonFiniteValue
 
 
 def brute_force_cmi(joint: dict[tuple, float]) -> float:
@@ -43,6 +47,36 @@ def brute_force_cmi(joint: dict[tuple, float]) -> float:
             inner += p * math.log(p / (p_x_given_z[x] * p_y_given_z[y]))
         acc += p_z * inner
     return acc
+
+
+def dict_cmi_from_counts(counts) -> float:
+    """Plug-in I(X; Y | Z) in nats from weights keyed (x, y, z).
+
+    Accepts arbitrary non-negative weights, so the exact joint distribution
+    of an enumerated toy system can be fed in directly; a NaN or infinite
+    weight raises NonFiniteValue and a negative one NegativeWeight.
+    """
+    weights = counts.values()
+    if not all(map(math.isfinite, weights)):
+        raise NonFiniteValue("counts table holds a non-finite weight")
+    if any(c < 0.0 for c in weights):
+        raise NegativeWeight("counts table holds a negative weight")
+    total = sum(weights)
+    if total <= 0.0:
+        raise EmptyDataset("counts table is empty")
+    n_xz: dict[tuple, float] = {}
+    n_yz: dict[tuple, float] = {}
+    n_z: dict[tuple, float] = {}
+    for (x, y, z), c in counts.items():
+        n_xz[(x, z)] = n_xz.get((x, z), 0.0) + c
+        n_yz[(y, z)] = n_yz.get((y, z), 0.0) + c
+        n_z[z] = n_z.get(z, 0.0) + c
+    acc = 0.0
+    for (x, y, z), c in counts.items():
+        if c <= 0.0:
+            continue
+        acc += c * math.log((c * n_z[z]) / (n_xz[(x, z)] * n_yz[(y, z)]))
+    return max(acc / total, 0.0)
 
 
 def entropy_from_counts(counts: dict[tuple, float], component: int) -> float:

@@ -5,6 +5,7 @@ import math
 import statistics
 import tracemalloc
 from bisect import bisect_right
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from interoai.homeostat import DriveModel
 from interoai.rng import BLOCK
 
 from helpers import EDGE_SETS, draw_states, make_tiny_env
-from oracles import BlanketTupleEncoder, brute_force_cmi, entropy_from_counts, two_cell_joint
+from oracles import BlanketTupleEncoder, brute_force_cmi, dict_cmi_from_counts, entropy_from_counts, two_cell_joint
 
 
 def ci_env(**overrides) -> HomeoGridEnv:
@@ -137,6 +138,12 @@ def test_cmi_bounded_by_marginal_entropies():
 def test_empty_counts_rejected():
     with pytest.raises(EmptyDataset):
         cmi_from_counts({})
+    # A dataset of no transitions is rejected before its joint table is built.
+    none = np.zeros(0, dtype=np.int64)
+    ds = TransitionDataset(none, none, none)
+    with pytest.raises(EmptyDataset):
+        conditional_mi(ds, 1e-9, 0.02)
+    assert "_table" not in vars(ds)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -144,15 +151,54 @@ def test_non_finite_weight_rejected(bad):
     counts = {(0, 0, 0): 1.0, (1, 1, 0): bad}
     with pytest.raises(NonFiniteValue):
         cmi_from_counts(counts)
-    # NaN compares false with both thresholds, so it must not reach the verdict.
-    codes = np.zeros(1, dtype=np.int64)
-    with pytest.raises(NonFiniteValue):
-        conditional_mi(TransitionDataset(codes, codes, codes, counts), 1e-9, 0.02)
 
 
 def test_negative_weight_rejected():
     with pytest.raises(NegativeWeight):
         cmi_from_counts({(0, 0, 0): 1.0, (1, 1, 0): -1.0})
+
+
+# Codes as large as the collector's next to small ones, so ranks, not the codes, must pair them.
+CODES = st.sampled_from([0, 1, 5, 2**40, 2**63 - 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(CODES, CODES, CODES), min_size=1, max_size=80))
+def test_integer_tables_give_the_reference_bits(rows):
+    counts = Counter(rows)
+    expected = dict_cmi_from_counts(counts).hex()
+    assert cmi_from_counts(counts).hex() == expected
+    x, y, z = (np.array(column, dtype=np.int64) for column in zip(*rows))
+    ds = TransitionDataset(x, y, z)
+    assert list(zip(map(tuple, ds.keys.tolist()), ds.counts.tolist())) == list(counts.items())
+    report = conditional_mi(ds, 1e-9, 0.02)
+    assert report.cmi_nats.hex() == expected
+    assert report.alphabet_sizes == tuple(len(set(column)) for column in zip(*rows))
+
+
+WEIGHTS = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    counts=st.dictionaries(
+        st.tuples(
+            st.sampled_from(["lo", "mid", "hi"]),
+            st.tuples(st.integers(0, 2), st.sampled_from("ab")),
+            st.tuples(st.integers(0, 1), st.sampled_from(["rest", "move"])),
+        ),
+        WEIGHTS,
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_float_weighted_symbol_tables_give_the_reference_bits(counts):
+    # Strings and tuples as symbols, zero weights among them; numpy warnings are errors here.
+    if not any(w > 0.0 for w in counts.values()):
+        with pytest.raises(EmptyDataset):
+            cmi_from_counts(counts)
+        return
+    assert cmi_from_counts(counts).hex() == dict_cmi_from_counts(counts).hex()
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +220,9 @@ def test_collect_deterministic_and_counted():
     assert np.array_equal(a.y, b.y)
     assert np.array_equal(a.z, b.z)
     assert len(a) == 500
-    assert sum(a.counts.values()) == 500.0
+    assert np.array_equal(a.keys, b.keys)
+    assert np.array_equal(a.counts, b.counts)
+    assert a.counts.sum() == 500
 
 
 def test_factored_env_cmi_exactly_zero():
@@ -186,6 +234,7 @@ def test_factored_env_cmi_exactly_zero():
     assert report.cmi_nats == 0.0
     assert report.verdict is CmiVerdict.Factored
     assert report.sample_count == 20_000
+    assert report.alphabet_sizes == tuple(len(set(codes.tolist())) for codes in (ds.x, ds.y, ds.z))
 
 
 def test_coupled_env_cmi_positive_and_flagged():
@@ -208,6 +257,26 @@ def test_coupled_cmi_increases_with_lambda():
             values.append(conditional_mi(ds, 1e-9, 0.02).cmi_nats)
         medians.append(statistics.median(values))
     assert medians[0] < medians[1] < medians[2]
+
+
+@pytest.mark.parametrize(
+    "make_env, lam",
+    [
+        pytest.param(ci_env, None, id="factored"),
+        pytest.param(ci_env, 0.01, id="coupled-0.01"),
+        pytest.param(ci_env, 0.05, id="coupled-0.05"),
+        pytest.param(ci_env, 0.2, id="coupled-0.2"),
+        pytest.param(wide_seasonal_env, None, id="two-season-noisy"),
+    ],
+)
+def test_collected_cmi_is_the_reference_on_the_counted_rows(make_env, lam):
+    env = make_env() if lam is None else make_coupled_variant(make_env(), lam)
+    ds = collect_transitions(env, 20_000, 2, ci_discretizer())
+    counts = Counter(zip(ds.x.tolist(), ds.y.tolist(), ds.z.tolist()))
+    assert conditional_mi(ds, 1e-9, 0.02).cmi_nats.hex() == dict_cmi_from_counts(counts).hex()
+    for table in (ds.keys, ds.counts):
+        assert table.dtype == np.int64 and not table.flags.writeable
+    assert ds.keys.shape == (len(counts), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +418,7 @@ def _assert_reference(ds, env, steps, seed, disc):
     assert ds.x.tolist() == x
     assert ds.y.tolist() == y
     assert ds.z.tolist() == z
-    assert list(ds.counts.items()) == counts  # first-seen order too
+    assert list(zip(map(tuple, ds.keys.tolist()), ds.counts.tolist())) == counts  # first-seen order too
 
 
 @pytest.mark.parametrize(
@@ -512,6 +581,24 @@ def test_collect_retains_under_3_mib_at_20k_steps():
         tracemalloc.stop()
     assert len(ds) == 20_000
     assert retained < 3 * 2**20
+
+
+def test_collect_retains_only_its_codes_at_20k_steps():
+    # Three int64 code arrays retain about 0.46 MiB; nothing is kept per
+    # joint key until the table is first read.
+    settings_ = parse_config(default_config()).blanket
+    env, disc = settings_.env, settings_.discretizer
+    collect_transitions(env, 100, 0, disc)  # fill the env's caches first
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ds = collect_transitions(env, 20_000, settings_.seed, disc)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(ds) == 20_000
+    assert "_table" not in vars(ds)
+    assert retained < 2**20
 
 
 @pytest.mark.parametrize("steps", [20_000, 100_000])

@@ -10,6 +10,8 @@ import math
 import sys
 
 import test_golden
+from interoai import blanket
+from oracles import two_cell_joint
 
 _NOTHING = object()
 
@@ -61,3 +63,11 @@ def test_artifact_bytes_match_golden_digests_under_a_compensated_sum(tmp_path, m
     for module in modules.values():
         monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
     test_golden.test_artifact_bytes_match_golden_digests(tmp_path)
+
+
+def test_cmi_from_counts_bits_do_not_depend_on_the_interpreters_sum(monkeypatch):
+    # A float-weighted table's total is added left to right, as the 3.11 builtin adds it.
+    joint = two_cell_joint(0.3)
+    plain = blanket.cmi_from_counts(joint)
+    monkeypatch.setattr(blanket, "sum", compensated_sum, raising=False)
+    assert blanket.cmi_from_counts(joint).hex() == plain.hex() == "0x1.c859d96cb7ea7p-5"

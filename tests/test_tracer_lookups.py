@@ -58,6 +58,29 @@ def test_tracer_sees_every_step_of_a_run_and_a_verification(quick_cfg, monkeypat
     assert runner.step_factored is core.step_factored  # uninstalled again
 
 
+def test_tracer_counts_the_distinct_rows_of_both_datasets(quick_cfg, monkeypatch):
+    # `blanket.joint_keys` is read off each collected dataset's joint table.
+    datasets = []
+    collect = runner.collect_transitions
+
+    def kept_collect(*args):
+        datasets.append(collect(*args))
+        return datasets[-1]
+
+    monkeypatch.setattr(runner, "collect_transitions", kept_collect)
+    bench_trace = _load_bench_trace()
+    rec = bench_trace.SpanRecorder()
+    uninstall = bench_trace.install(rec)
+    try:
+        runner.verify_blanket(quick_cfg)
+    finally:
+        uninstall()
+    assert len(datasets) == 2
+    distinct = [len(set(zip(ds.x.tolist(), ds.y.tolist(), ds.z.tolist()))) for ds in datasets]
+    assert min(distinct) > 0
+    assert rec.counts["blanket.joint_keys"] == sum(distinct)
+
+
 def test_tracer_sees_one_span_per_config_load(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config.default_config()), encoding="utf-8")
