@@ -111,17 +111,22 @@ class TransitionDataset:
     @cached_property
     def _table(self) -> tuple[np.ndarray, np.ndarray]:
         columns = (self.x, self.y, self.z)
+        n = len(self.x)
         order = np.lexsort(columns[::-1])  # stable: equal rows stay in transition order
-        starts = np.zeros(len(order), dtype=bool)
+        starts = np.zeros(n, dtype=bool)
         starts[:1] = True
+        ranked = np.empty(n, dtype=np.int64)  # one buffer for each column in sorted order
         for codes in columns:  # a run of equal rows starts where any column changes
-            ranked = codes[order]
+            np.take(codes, order, out=ranked)
             starts[1:] |= ranked[1:] != ranked[:-1]
+        del ranked
         runs = np.flatnonzero(starts)
+        del starts
         firsts = order[runs]  # each run's first transition
+        del order
         seen = np.argsort(firsts)
         keys = np.stack([codes[firsts[seen]] for codes in columns], axis=1)
-        counts = np.diff(runs, append=len(order))[seen]
+        counts = np.diff(runs, append=n)[seen]
         for table in (keys, counts):
             table.setflags(write=False)
         return keys, counts
@@ -270,10 +275,16 @@ def cmi_from_counts(counts: Mapping[tuple, float]) -> float:
 def conditional_mi(ds: TransitionDataset, tol_lo: float, tol_hi: float) -> CmiReport:
     """Estimate I(I_{t+1}; E_t | I_t, B_t, A_t) over the dataset's joint table
     and classify the result: Factored below `tol_lo`, Coupled above `tol_hi`,
-    Inconclusive between.  The alphabet sizes count the distinct x, y and z."""
-    if len(ds) == 0:
+    Inconclusive between.  The alphabet sizes count the distinct x, y and z.
+
+    Only the table is read once it is built: a dataset handed straight in,
+    with no other reference, is freed, codes and all, before the estimate."""
+    n = len(ds)
+    if n == 0:
         raise EmptyDataset("dataset holds no transitions")
-    cmi, sizes = _table_cmi(ds.keys, ds.counts.astype(np.float64))
+    keys, counts = ds.keys, ds.counts
+    del ds
+    cmi, sizes = _table_cmi(keys, counts.astype(np.float64))
     if cmi < tol_lo:
         verdict = CmiVerdict.Factored
     elif cmi > tol_hi:
@@ -282,7 +293,7 @@ def conditional_mi(ds: TransitionDataset, tol_lo: float, tol_hi: float) -> CmiRe
         verdict = CmiVerdict.Inconclusive
     return CmiReport(
         cmi_nats=cmi,
-        sample_count=len(ds),
+        sample_count=n,
         alphabet_sizes=sizes,
         verdict=verdict,
     )

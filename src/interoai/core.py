@@ -159,9 +159,11 @@ class TransitionModel:
 
     `states[season][row][col]` is the external state the env built for
     each cell in each season, over that season's grids.  It is the world's
-    one description: `check_schema` reads the season count, rows and
-    columns from its shape, trusts a state whole when it is its own table
-    entry, and skips a grid that is that entry's grid.
+    one description.  Its shape is checked once, here: a table with no
+    season, row or column, or whose seasons differ in shape, raises
+    SchemaMismatch, and `shape` keeps the (seasons, rows, cols) that
+    `check_schema` reads.  `check_schema` trusts a state whole when it is
+    its own table entry, and skips a grid that is that entry's grid.
     """
 
     f_b: FBoundary
@@ -170,6 +172,17 @@ class TransitionModel:
     internal_dim: int
     states: tuple = field(repr=False, compare=False)
     internal_leak: Optional[FInternalLeak] = None
+    shape: tuple[int, int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        table = self.states
+        rows = len(table[0]) if table else 0
+        cols = len(table[0][0]) if rows else 0
+        if not cols:
+            raise SchemaMismatch("states need at least one season, row and column")
+        for season in table:
+            _check_grid(season, rows, cols, "season")
+        object.__setattr__(self, "shape", (len(table), rows, cols))
 
 
 def _check_grid(grid, rows: int, cols: int, what: str) -> None:
@@ -191,16 +204,17 @@ def check_schema(model: TransitionModel, state: FactoredState) -> None:
     """Raise SchemaMismatch unless the state fits the model's world.
 
     The internal dimension is `model.internal_dim`; the season count, rows
-    and columns are the shape of `model.states`.  After the internal
-    dimension, the cell and the season are checked, a state that is
-    `model.states[season][row][col]` passes, and a grid of it is not scanned.
+    and columns are `model.shape`, checked when the model was built.  After
+    the internal dimension, the cell and the season are checked, a state
+    that is `model.states[season][row][col]` passes, and a grid of it is not
+    scanned.
     """
     if len(state.internal.values) != model.internal_dim:
         raise SchemaMismatch(
             f"internal dimension {len(state.internal)} != schema {model.internal_dim}"
         )
     table = model.states
-    seasons, rows, cols = len(table), len(table[0]), len(table[0][0])
+    seasons, rows, cols = model.shape
     ext = state.external
     _check_pos(ext.agent_pos, rows, cols, "agent_pos")
     if not 0 <= ext.season < seasons:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
 from dataclasses import asdict, dataclass
 from functools import partial
 from math import log as ln
@@ -191,8 +191,8 @@ def sweep(config: ExperimentConfig, out_dir: str | None = None, jobs: int = 1) -
     seeds = sorted(config.run.seeds)
     run_seed = partial(_run_metrics, config, str(directory))
     jobs = min(jobs, len(seeds))  # a worker beyond one per seed would sit idle
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if jobs > 1:  # the pool's module, and multiprocessing, load on this first read
+        with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(run_seed, seeds))
     else:
         rows = list(map(run_seed, seeds))
@@ -244,9 +244,14 @@ def verify_blanket(config: ExperimentConfig, out_dir: str | None = None) -> Blan
     coupled_env = make_coupled_variant(factored_env, settings.lam)
 
     def measure(env: HomeoGridEnv) -> tuple[CmiReport, tuple[float, float]]:
-        # One variant at a time: its dataset is freed before the next one is collected.
-        ds = collect_transitions(env, settings.steps, settings.seed, settings.discretizer)
-        return conditional_mi(ds, settings.tol_lo, settings.tol_hi), _jacobian_maxima(env, settings.epsilon)
+        # Handed straight in, unnamed, a variant's dataset is freed once its
+        # table is built: its codes are gone before its estimate runs.
+        rep = conditional_mi(
+            collect_transitions(env, settings.steps, settings.seed, settings.discretizer),
+            settings.tol_lo,
+            settings.tol_hi,
+        )
+        return rep, _jacobian_maxima(env, settings.epsilon)
 
     rep_factored, jac_factored = measure(factored_env)
     rep_coupled, jac_coupled = measure(coupled_env)

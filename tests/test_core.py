@@ -43,6 +43,34 @@ def test_identity_model_increments_time_only():
     assert nxt.t == state.t + 1
 
 
+def _model_over(states) -> TransitionModel:
+    return TransitionModel(
+        f_b=lambda i, e, a: None, f_i=lambda i, b, a: i, f_e=lambda e, b, a, rng, t: e, internal_dim=3, states=states
+    )
+
+
+@pytest.mark.parametrize("states", [(), ((),), (((),),)], ids=["no-season", "no-row", "no-column"])
+def test_model_rejects_an_empty_table_when_it_is_built(states):
+    with pytest.raises(SchemaMismatch, match="at least one season, row and column"):
+        _model_over(states)
+
+
+def test_model_rejects_a_season_of_another_shape_when_it_is_built():
+    table = transition_maps(make_tiny_env()).states
+    narrow = tuple(row[:-1] for row in table[1])
+    for bad in ((table[0], narrow), (table[0], table[1][:-1]), (table[0], table[1] + table[1][:1])):
+        with pytest.raises(SchemaMismatch, match="season shape"):
+            _model_over(bad)
+
+
+def test_model_shape_is_its_tables_and_replace_checks_it_again():
+    model = transition_maps(make_tiny_env())
+    assert model.shape == (2, 3, 3)
+    assert dataclasses.replace(model, states=model.states[:1]).shape == (1, 3, 3)
+    with pytest.raises(SchemaMismatch):
+        dataclasses.replace(model, states=())
+
+
 def test_step_reads_current_boundary_not_new_one():
     # The internal update must consume b_t, so a sensed temperature planted
     # in the current boundary is what drives core_temp at t+1.

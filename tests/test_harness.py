@@ -4,11 +4,15 @@ import dataclasses
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
 import pytest
 
+import interoai
 from interoai.agents import AgentConfig
 from interoai.blanket import CmiVerdict
 from interoai.envs import GridSpec, HomeoGridEnv
@@ -182,7 +186,7 @@ def test_sweep_rejects_jobs_below_one_before_any_work(tmp_path, monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("no run or pool may start")
 
-    monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", must_not_run)
+    monkeypatch.setattr(runner_mod.futures, "ProcessPoolExecutor", must_not_run)
     monkeypatch.setattr(runner_mod, "execute_run", must_not_run)
     cfg = parse_config(quick_config_doc())
     for jobs in (0, -2):
@@ -346,7 +350,7 @@ def test_sweep_caps_workers_at_the_seed_count(tmp_path, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(runner_mod.futures, "ProcessPoolExecutor", InlinePool)
     cfg = parse_config(quick_config_doc(train_steps=0, eval_steps=20, seeds=[0, 1]))
     sweep(cfg, str(tmp_path / "two"), jobs=8)
     assert pools == [2]
@@ -378,7 +382,7 @@ def test_sweep_workers_send_back_only_the_metrics_row(tmp_path, monkeypatch):
                 returned.append(fn(item))
                 yield returned[-1]
 
-    monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(runner_mod.futures, "ProcessPoolExecutor", InlinePool)
     cfg = parse_config(quick_config_doc(train_steps=0, eval_steps=20, seeds=[0, 1]))
     table = sweep(cfg, str(tmp_path / "pool"), jobs=2)
     assert [type(row) for row in returned] == [MetricsRow, MetricsRow]
@@ -834,6 +838,69 @@ def test_verify_blanket_frees_the_factored_dataset_before_it_collects_the_couple
     assert verify_blanket(quick_cfg).passed
     assert alive_at_call == [False, False]
     assert all(ref() is None for ref in collected)
+
+
+def test_verify_blanket_frees_each_variants_codes_before_its_estimate(quick_cfg, monkeypatch):
+    import interoai.blanket as blanket_mod
+    import interoai.harness.runner as runner_mod
+
+    collect, estimate = runner_mod.collect_transitions, blanket_mod._table_cmi
+    codes = []  # a weak reference to each collected dataset's `x`
+    alive_at_estimate = []  # per estimate, whether each dataset's codes were still held
+
+    def spy_collect(*args, **kwargs):
+        ds = collect(*args, **kwargs)
+        codes.append(weakref.ref(ds.x))
+        return ds
+
+    def spy_estimate(*args):
+        alive_at_estimate.append([ref() is not None for ref in codes])
+        return estimate(*args)
+
+    monkeypatch.setattr(runner_mod, "collect_transitions", spy_collect)
+    monkeypatch.setattr(blanket_mod, "_table_cmi", spy_estimate)
+    assert verify_blanket(quick_cfg).passed
+    assert alive_at_estimate == [[False], [False, False]]
+
+
+_POOL_MODULES = ("multiprocessing", "concurrent.futures.process")
+
+_IMPORT_GUARD = """
+import json, sys
+loaded = []
+
+def note():
+    loaded.append([m for m in json.loads(sys.argv[3]) if m in sys.modules])
+
+import interoai
+import interoai.harness.cli
+from interoai.harness.config import parse_config
+from interoai.harness.runner import sweep, verify_blanket
+note()
+doc = json.loads(sys.argv[1])
+assert verify_blanket(parse_config(doc)).passed
+note()
+doc["run"].update(seeds=[0], train_steps=0, eval_steps=20)
+sweep(parse_config(doc), sys.argv[2], jobs=1)
+note()
+print(json.dumps(loaded))
+"""
+
+
+def test_only_a_parallel_sweep_loads_a_process_pool(tmp_path):
+    # A fresh interpreter, since this one may have loaded the pool already.
+    src = Path(interoai.__file__).resolve().parents[1]
+    argv = [json.dumps(quick_config_doc()), str(tmp_path / "out"), json.dumps(_POOL_MODULES)]
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GUARD, *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[], [], []]  # after the imports, verify_blanket, a serial sweep
+    assert (tmp_path / "out" / "metrics.csv").exists()
 
 
 # ---------------------------------------------------------------------------
