@@ -30,6 +30,7 @@ from array import array
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
+from itertools import islice
 from typing import Callable, Iterator, Mapping
 
 import numpy as np
@@ -147,9 +148,9 @@ def collect_transitions(
 
     Each step only appends its raw facts to flat buffers; every `rng.BLOCK`
     steps the discretizer's array forms code the buffered block and the
-    buffers start again, so they never outgrow one block.  The code of
-    i_{t+1} is the next step's i_t, unless a respawn replaced the body in
-    between, so every internal state is binned once.
+    buffers start again, so they never outgrow one block.  A step's i_t and
+    i_{t+1} are both binned from its own values: nothing is carried between
+    steps or blocks.
     """
     if steps < 1:
         raise ConfigError("steps must be >= 1")
@@ -165,40 +166,25 @@ def collect_transitions(
         raise ConfigError(f"{dims} internal values vs {len(d.internal_edges)} edge sets")
     walk = rollout(env, uniform_random_policy, seed, "blanket-policy", "blanket-env")
     x, y, z = (np.empty(steps, dtype=np.int64) for _ in range(3))
-    i_code = 0  # the code of the last i_{t+1}; the first block starts with a fresh body
-    fresh = True  # the state's body was not reached by a step: reset or respawned
     block = rng.BLOCK
     for start in range(0, steps, block):
         n = min(block, steps - start)
-        nexts = array("d")  # i_{t+1}, `dims` values a step
+        bodies = array("d")  # i_t then i_{t+1}, `dims` values each
         sensed = array("d")  # b_t: sensed ambient, food flux, water flux
         facts = array("q")  # e_t: row, column, tag under the agent, season; then a_t
-        fresh_rows = array("q")  # steps whose i_t is a fresh body, and its values:
-        bodies = array("d")
-        for k in range(n):
-            state, action, nxt, _, dead = next(walk)
-            if fresh:
-                fresh_rows.append(k)
-                bodies.extend(state.internal.values)
+        for state, action, nxt, _, _ in islice(walk, n):
             b, ext = state.boundary, state.external
             r, c = ext.agent_pos
+            bodies.extend(state.internal.values)
+            bodies.extend(nxt.internal.values)
             sensed.extend((b.sensed_ambient, b.flux_food, b.flux_water))
             facts.extend((r, c, ext.resource_map[r][c], ext.season, action))
-            nexts.extend(nxt.internal.values)
-            fresh = dead  # a death respawns the next step's body
 
-        nexts.extend(bodies)
-        i_codes = d.internal_codes(np.frombuffer(nexts).reshape(-1, dims))
-        xb = i_codes[:n]
-        ib = np.empty(n, dtype=np.int64)
-        ib[0] = i_code
-        ib[1:] = xb[:-1]
-        ib[np.frombuffer(fresh_rows, dtype=np.int64)] = i_codes[n:]
-        i_code = xb[-1]
+        i_codes = d.internal_codes(np.frombuffer(bodies).reshape(-1, dims))
         b_cols = np.frombuffer(sensed).reshape(n, 3).T
         e_cols = np.frombuffer(facts, dtype=np.int64).reshape(n, 5).T
-        yb, zb = blanket_codes(d, g, ib, d.boundary_codes(*b_cols), *e_cols)
-        x[start : start + n] = xb
+        yb, zb = blanket_codes(d, g, i_codes[0::2], d.boundary_codes(*b_cols), *e_cols)
+        x[start : start + n] = i_codes[1::2]
         y[start : start + n] = yb
         z[start : start + n] = zb
     for codes in (x, y, z):
@@ -252,11 +238,15 @@ def cmi_from_counts(counts: Mapping[tuple, float]) -> float:
 
     Accepts arbitrary non-negative weights over hashable symbols, so the
     exact joint distribution of an enumerated toy system can be fed in
-    directly; a NaN or infinite weight raises NonFiniteValue, a negative one
-    NegativeWeight, and a table of no positive weight EmptyDataset.  Each
-    column's symbols are coded in first-seen order and the table is
-    estimated by the same core as `conditional_mi`.
+    directly; a key that is not an (x, y, z) tuple raises ConfigError, a NaN
+    or infinite weight NonFiniteValue, a negative one NegativeWeight, and a
+    table of no positive weight EmptyDataset.  Each column's symbols are
+    coded in first-seen order and the table is estimated by the same core
+    as `conditional_mi`.
     """
+    for key in counts:
+        if not (isinstance(key, tuple) and len(key) == 3):
+            raise ConfigError(f"counts key {key!r} is not an (x, y, z) triple")
     weights = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
     if not np.isfinite(weights).all():
         raise NonFiniteValue("counts table holds a non-finite weight")
@@ -336,8 +326,8 @@ def jacobian_sparsity(
     epsilon: float,
 ) -> JacobianReport:
     """Central-difference check of the two forbidden Jacobian blocks."""
-    if epsilon <= 0.0:
-        raise ConfigError("epsilon must be > 0")
+    if not 0.0 < epsilon < math.inf:
+        raise ConfigError(f"epsilon must be finite and > 0, got {epsilon!r}")
     ext = state.external
     rows = len(ext.ambient_field)
     cols = len(ext.ambient_field[0])

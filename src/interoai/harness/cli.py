@@ -102,15 +102,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _seed_rows(text: str) -> dict[str, dict[str, str]]:
+def _seed_rows(metrics_path: Path, text: str) -> dict[str, dict[str, str]]:
     """The per-seed rows of a metrics table: each row's cells by column, keyed
-    by its seed cell.  The summary rows carry a label, not a seed, under `seed`."""
+    by its seed cell.  The summary rows carry a label, not a seed, under `seed`.
+    A sweep writes one row per seed, so a seed with two rows raises RuntimeFailure."""
     lines = text.splitlines()
     header = lines[0].split(",") if lines else []
     rows = {}
     for line in lines[1:]:
         cells = line.split(",")
         if cells[0].isdecimal():
+            if cells[0] in rows:
+                raise RuntimeFailure(f"{metrics_path} holds two rows for seed {cells[0]}")
             rows[cells[0]] = dict(zip(header, cells))
     return rows
 
@@ -145,7 +148,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     metrics_path = directory / "metrics.csv"
     logs = sorted(directory.glob("log_seed*.csv"))
     text = metrics_path.read_text(encoding="utf-8") if metrics_path.exists() else None
-    rows = None if text is None else _seed_rows(text)
+    rows = None if text is None else _seed_rows(metrics_path, text)
     if rows is not None:
         _check_logs_match_rows(metrics_path, rows, logs)
     drives, plotted = [], []

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import statistics
 import tracemalloc
 from bisect import bisect_right
@@ -156,6 +157,20 @@ def test_non_finite_weight_rejected(bad):
 def test_negative_weight_rejected():
     with pytest.raises(NegativeWeight):
         cmi_from_counts({(0, 0, 0): 1.0, (1, 1, 0): -1.0})
+
+
+@pytest.mark.parametrize(
+    "counts, named",
+    [
+        # Dropping the fourth symbol would read as the 3-symbol table's CMI.
+        ({(0, 0, 0, 1): 1.0, (1, 1, 0, 2): 1.0, (0, 1, 0, 3): 1.0, (1, 0, 0, 4): 2.0}, "(0, 0, 0, 1)"),
+        ({(0, 0, 0): 1.0, (1, 1): 1.0}, "(1, 1)"),
+    ],
+    ids=["four-symbols", "two-symbols"],
+)
+def test_a_key_that_is_not_a_triple_is_rejected_by_name(counts, named):
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        cmi_from_counts(counts)
 
 
 # Codes as large as the collector's next to small ones, so ranks, not the codes, must pair them.
@@ -329,6 +344,9 @@ def test_jacobian_rejects_bad_epsilon():
     state = reset(env, 0)
     with pytest.raises(ConfigError):
         jacobian_sparsity(model, state, Action.Rest, 0.0)
+    for bad in (math.nan, math.inf):  # a step of NaN or inf differences nothing
+        with pytest.raises(ConfigError, match="epsilon"):
+            jacobian_sparsity(model, state, Action.Rest, bad)
 
 
 def _symbols(disc, state):
@@ -431,7 +449,7 @@ def _assert_reference(ds, env, steps, seed, disc):
         pytest.param(wide_seasonal_env, True, id="wide-True"),
     ],
 )
-def test_collect_symbolizes_each_internal_state_once(monkeypatch, make_env, coupled):
+def test_collect_symbolizes_both_internal_states_of_every_step(monkeypatch, make_env, coupled):
     # Past two blocks, ending inside a third.
     env = make_coupled_variant(make_env(), 0.2) if coupled else make_env()
     disc = ci_discretizer()
@@ -439,7 +457,7 @@ def test_collect_symbolizes_each_internal_state_once(monkeypatch, make_env, coup
     ds, calls = _collect_counted(monkeypatch, env, steps, 3, disc)
     respawns = len(calls["respawned_at"])
     assert respawns > 0
-    assert steps < calls["binned"] <= steps + 1 + respawns
+    assert calls["binned"] == 2 * steps
     g = env.grid
     assert set((ds.y // (g.rows * g.cols * len(Tag))).tolist()) == set(range(len(g.seasons)))  # y's top digit
     _assert_reference(ds, env, steps, 3, disc)
@@ -448,8 +466,9 @@ def test_collect_symbolizes_each_internal_state_once(monkeypatch, make_env, coup
 @pytest.mark.parametrize("coupled", [False, True])
 def test_collect_equals_the_reference_over_small_blocks(monkeypatch, coupled):
     # Blocks of 7 steps, in the streams' draws as in the symbolization, put
-    # block edges everywhere: between a step and its successor's i_t, and
-    # between a respawn and the fresh body's first step.
+    # block edges everywhere: between a step and its successor, and between
+    # a respawn and the fresh body's first step.  Each step's i_t and i_{t+1}
+    # are binned from that step alone.
     import interoai.rng as rng_mod
 
     monkeypatch.setattr(rng_mod, "BLOCK", 7)
@@ -457,9 +476,8 @@ def test_collect_equals_the_reference_over_small_blocks(monkeypatch, coupled):
     disc = ci_discretizer()
     steps = 600
     ds, calls = _collect_counted(monkeypatch, env, steps, 3, disc)
-    respawns = len(calls["respawned_at"])
     assert any(t % 7 == 0 for t in calls["respawned_at"])  # on a block's last step
-    assert steps < calls["binned"] <= steps + 1 + respawns
+    assert calls["binned"] == 2 * steps
     _assert_reference(ds, env, steps, 3, disc)
 
 

@@ -1006,6 +1006,22 @@ def test_cli_report_names_a_row_whose_log_is_gone(tmp_path, capsys):
     _assert_one_line_runtime_failure(capsys.readouterr().err, "rows with no log: seed 1")
 
 
+def test_cli_report_names_a_seed_with_two_rows(tmp_path, capsys):
+    # A stale copy of seed 0's row above the real one: the table no longer
+    # says which row the log stands for, so report prints nothing and exits 2.
+    sweep(parse_config(quick_config_doc(train_steps=0, eval_steps=20, seeds=[0, 1])), str(tmp_path))
+    path = tmp_path / "metrics.csv"
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    cells = rows[0].split(",")
+    assert cells[0] == "0"
+    cells[header.split(",").index("mean_drive")] = "9.99"
+    path.write_text("\n".join([header, ",".join(cells), *rows]) + "\n", encoding="utf-8")
+    assert main(["report", "--in", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    _assert_one_line_runtime_failure(captured.err, "metrics.csv", "seed 0")
+    assert captured.out == ""
+
+
 def test_cli_report_rejects_a_log_cut_short_at_a_row_boundary(tmp_path, capsys):
     # A log cut after whole rows still parses; its recomputed columns differ
     # from the row the sweep wrote, so report prints nothing and exits 2.
