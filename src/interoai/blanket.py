@@ -96,15 +96,30 @@ class TransitionDataset:
     """Integer-coded transitions; their joint table is derived on first use.
 
     Transition t has x[t], the internal code of i_{t+1}, and y[t] and z[t],
-    the `blanket_codes` of e_t and of (i_t, b_t, a_t), in read-only int64
-    arrays.  `keys` (k x 3 int64) holds each distinct (x, y, z) row and
-    `counts` (k int64) its number of transitions, both in the order the rows
-    were first seen; the counts sum to the number of transitions.
+    the `blanket_codes` of e_t and of (i_t, b_t, a_t).  The three columns
+    are 1-D arrays of one length and one integer dtype, else ConfigError
+    names the column at construction.  `keys` (k x 3 int64) holds each
+    distinct (x, y, z) row and `counts` (k int64) its number of transitions,
+    both in the order the rows were first seen; the counts sum to the number
+    of transitions.
     """
 
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("x", "y", "z"):
+            codes = getattr(self, name)
+            if not (isinstance(codes, np.ndarray) and np.issubdtype(codes.dtype, np.integer)):
+                kind = getattr(codes, "dtype", type(codes).__name__)
+                raise ConfigError(f"dataset column {name} holds {kind} codes, not integers")
+            if codes.ndim != 1:
+                raise ConfigError(f"dataset column {name} has shape {codes.shape}, not 1-D")
+            if len(codes) != len(self.x):
+                raise ConfigError(f"dataset column {name} holds {len(codes)} codes, x {len(self.x)}")
+            if codes.dtype != self.x.dtype:
+                raise ConfigError(f"dataset column {name} is {codes.dtype}, x {self.x.dtype}")
 
     def __len__(self) -> int:
         return len(self.x)
@@ -116,7 +131,7 @@ class TransitionDataset:
         order = np.lexsort(columns[::-1])  # stable: equal rows stay in transition order
         starts = np.zeros(n, dtype=bool)
         starts[:1] = True
-        ranked = np.empty(n, dtype=np.int64)  # one buffer for each column in sorted order
+        ranked = np.empty(n, dtype=self.x.dtype)  # one buffer for each column in sorted order
         for codes in columns:  # a run of equal rows starts where any column changes
             np.take(codes, order, out=ranked)
             starts[1:] |= ranked[1:] != ranked[:-1]
@@ -126,7 +141,7 @@ class TransitionDataset:
         firsts = order[runs]  # each run's first transition
         del order
         seen = np.argsort(firsts)
-        keys = np.stack([codes[firsts[seen]] for codes in columns], axis=1)
+        keys = np.stack([codes[firsts[seen]] for codes in columns], axis=1, dtype=np.int64)
         counts = np.diff(runs, append=n)[seen]
         for table in (keys, counts):
             table.setflags(write=False)
@@ -150,7 +165,9 @@ def collect_transitions(
     steps the discretizer's array forms code the buffered block and the
     buffers start again, so they never outgrow one block.  A step's i_t and
     i_{t+1} are both binned from its own values: nothing is carried between
-    steps or blocks.
+    steps or blocks.  The codes are read-only int32 arrays when the code
+    space (every digit at its top, plus one) is at most 2**31, else int64;
+    a code space beyond 2**63 raises ConfigError before any step.
     """
     if steps < 1:
         raise ConfigError("steps must be >= 1")
@@ -165,7 +182,8 @@ def collect_transitions(
     if len(d.internal_edges) != dims:
         raise ConfigError(f"{dims} internal values vs {len(d.internal_edges)} edge sets")
     walk = rollout(env, uniform_random_policy, seed, "blanket-policy", "blanket-env")
-    x, y, z = (np.empty(steps, dtype=np.int64) for _ in range(3))
+    dtype = np.int32 if size <= 2**31 else np.int64  # one dtype holds every code of all three columns
+    x, y, z = (np.empty(steps, dtype=dtype) for _ in range(3))
     block = rng.BLOCK
     for start in range(0, steps, block):
         n = min(block, steps - start)
@@ -220,15 +238,32 @@ def _table_cmi(keys: np.ndarray, weights: np.ndarray) -> tuple[float, tuple[int,
     weight is added row by row in table order (a weighted `np.bincount`);
     the terms of the rows of positive weight, and the total, are each added
     left to right (`np.cumsum`, not the pairwise `np.sum`), and the logs are
-    `math.log`'s: `blanket.json`'s bytes depend on every bit of the result.
+    `math.log`'s, taken one float at a time from the ratios' buffer:
+    `blanket.json`'s bytes depend on every bit of the result.  Each rank and
+    marginal array is freed after its last use.
     """
     (x, xs), (y, ys), (z, zs) = (_ranks(column) for column in keys.T)
-    xz, yz = _ranks(z * xs + x)[0], _ranks(z * ys + y)[0]
-    n_z, n_xz, n_yz = (np.bincount(cell, weights)[cell] for cell in (z, xz, yz))
-    held = weights > 0.0
+    held = weights > 0.0  # each marginal is read at these rows only
+    xz = _ranks(z * xs + x)[0]
+    del x
+    n_xz = np.bincount(xz, weights)[xz[held]]
+    del xz
+    yz = _ranks(z * ys + y)[0]
+    del y
+    den = np.bincount(yz, weights)[yz[held]]  # n_yz, then n_xz * n_yz (a product commutes bit for bit)
+    del yz
+    den *= n_xz
+    del n_xz
+    ratios = np.bincount(z, weights)[z[held]]  # n_z, then c * n_z, then the ratio
+    del z
     c = weights[held]
-    ratios = (c * n_z[held]) / (n_xz[held] * n_yz[held])
-    terms = c * np.fromiter(map(math.log, ratios.tolist()), dtype=np.float64, count=len(c))
+    del held
+    ratios *= c
+    ratios /= den
+    del den
+    terms = np.fromiter(map(math.log, memoryview(ratios)), dtype=np.float64, count=len(c))
+    del ratios
+    terms *= c
     cmi = float(np.cumsum(terms)[-1]) / float(np.cumsum(weights)[-1])
     return max(cmi, 0.0), (xs, ys, zs)
 

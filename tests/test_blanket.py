@@ -17,6 +17,7 @@ from interoai.agents import Discretizer
 from interoai.blanket import (
     CmiVerdict,
     TransitionDataset,
+    _table_cmi,
     blanket_codes,
     cmi_from_counts,
     collect_transitions,
@@ -481,12 +482,56 @@ def test_collect_equals_the_reference_over_small_blocks(monkeypatch, coupled):
     _assert_reference(ds, env, steps, 3, disc)
 
 
-def test_dataset_codes_are_read_only_int64():
-    ds = collect_transitions(ci_env(), 50, 0, ci_discretizer())
-    for codes in (ds.x, ds.y, ds.z):
-        assert codes.dtype == np.int64 and codes.shape == (50,)
-        with pytest.raises(ValueError):
-            codes[0] = 0
+def test_dataset_codes_are_int32_unless_the_code_space_needs_int64():
+    # The CI and shipped discretizers code every transition below 2**31.
+    shipped = parse_config(default_config()).blanket
+    # Three edge sets of 1,300 edges code z up to about 5.7e13: past 2**31, within 2**63.
+    fine_edges = tuple(round(-1.0 + 0.05 * k, 2) for k in range(1_300))
+    fine = Discretizer(internal_edges=(fine_edges,) * 3)
+    for env, disc, dtype in (
+        (ci_env(), ci_discretizer(), np.int32),
+        (shipped.env, shipped.discretizer, np.int32),
+        (ci_env(), fine, np.int64),
+    ):
+        ds = collect_transitions(env, 50, 0, disc)
+        for codes in (ds.x, ds.y, ds.z):
+            assert codes.dtype == dtype and codes.shape == (50,)
+            with pytest.raises(ValueError):
+                codes[0] = 0
+        for table in (ds.keys, ds.counts):
+            assert table.dtype == np.int64
+
+
+@pytest.mark.parametrize("shipped_variant", ["factored", "coupled"])
+def test_int32_and_int64_codes_give_the_same_table_and_bits(shipped_variant):
+    settings_ = parse_config(default_config()).blanket
+    env = settings_.env if shipped_variant == "factored" else make_coupled_variant(settings_.env, settings_.lam)
+    narrow = collect_transitions(env, 20_000, settings_.seed, settings_.discretizer)
+    assert narrow.x.dtype == np.int32
+    wide = TransitionDataset(*(codes.astype(np.int64) for codes in (narrow.x, narrow.y, narrow.z)))
+    assert np.array_equal(narrow.keys, wide.keys)
+    assert np.array_equal(narrow.counts, wide.counts)
+    expected = conditional_mi(wide, settings_.tol_lo, settings_.tol_hi).cmi_nats.hex()
+    assert conditional_mi(narrow, settings_.tol_lo, settings_.tol_hi).cmi_nats.hex() == expected
+
+
+TWO_INT64, TWO_INT32 = np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.int32)
+
+
+@pytest.mark.parametrize(
+    "columns, named",
+    [
+        # Float codes would be merged: 0.2 and 0.7 read as one key counted twice.
+        ((np.array([0.2, 0.7]), TWO_INT64, TWO_INT64), "column x holds float64"),
+        ((TWO_INT64, np.zeros(3, dtype=np.int64), TWO_INT64), "column y holds 3"),
+        ((TWO_INT64, TWO_INT64, TWO_INT64.reshape(2, 1)), "column z has shape"),
+        ((TWO_INT32, TWO_INT32, TWO_INT64), "column z is int64"),
+    ],
+    ids=["float", "unequal-length", "2-D", "mixed-int32-int64"],
+)
+def test_dataset_rejects_malformed_columns_by_name(columns, named):
+    with pytest.raises(ConfigError, match=named):
+        TransitionDataset(*columns)
 
 
 def test_collect_rejects_discretizer_of_other_dimension():
@@ -585,8 +630,8 @@ def test_codes_are_the_tuple_encoding_and_injective(edges, rows, cols, n_seasons
 
 
 def test_collect_retains_under_3_mib_at_20k_steps():
-    # A tuple record per transition retains about 7.2 MiB here; three int64
-    # arrays and the counts table retain about 2.2 MiB.
+    # A tuple record per transition retains about 7.2 MiB here; three int32
+    # code arrays retain about 0.38 MiB in all (0.60 MiB as int64).
     settings_ = parse_config(default_config()).blanket
     env, disc = settings_.env, settings_.discretizer
     collect_transitions(env, 100, 0, disc)  # fill the env's caches first
@@ -602,8 +647,8 @@ def test_collect_retains_under_3_mib_at_20k_steps():
 
 
 def test_collect_retains_only_its_codes_at_20k_steps():
-    # Three int64 code arrays retain about 0.46 MiB; nothing is kept per
-    # joint key until the table is first read.
+    # Three int32 code arrays retain about 0.23 MiB (0.46 MiB as int64);
+    # nothing is kept per joint key until the table is first read.
     settings_ = parse_config(default_config()).blanket
     env, disc = settings_.env, settings_.discretizer
     collect_transitions(env, 100, 0, disc)  # fill the env's caches first
@@ -622,8 +667,9 @@ def test_collect_retains_only_its_codes_at_20k_steps():
 def test_table_build_holds_under_half_a_mib_beyond_its_table_at_20k_steps():
     # Each column is gathered into sorted order in one reused buffer, and
     # the sort order and the run flags are freed before the first-seen sort:
-    # about 0.36 MiB beyond the table, against 0.68 MiB with a sorted copy
-    # per column and the order held to the end.
+    # about 0.28 MiB beyond the table with int32 codes (0.36 MiB with int64),
+    # against 0.68 MiB with a sorted int64 copy per column and the order held
+    # to the end.
     settings_ = parse_config(default_config()).blanket
     env, disc = settings_.env, settings_.discretizer
     collect_transitions(env, 100, 0, disc).keys  # fill the env's caches first
@@ -637,6 +683,26 @@ def test_table_build_holds_under_half_a_mib_beyond_its_table_at_20k_steps():
         tracemalloc.stop()
     assert int(counts.sum()) == 20_000 and len(keys) == len(counts)
     assert peak - retained < 2**19
+
+
+def test_estimator_holds_under_0_9_mib_beyond_its_table_at_20k_steps():
+    # Each rank and marginal array is freed after its last use, and the logs
+    # are taken from the ratios' buffer, not from a list of Python floats:
+    # 0.73 MiB beyond the table's 9,292 keys, against 1.07 MiB with every
+    # array held to the end and the ratios listed.
+    settings_ = parse_config(default_config()).blanket
+    ds = collect_transitions(settings_.env, 20_000, settings_.seed, settings_.discretizer)
+    keys, weights = ds.keys, ds.counts.astype(np.float64)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        cmi, _ = _table_cmi(keys, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cmi == 0.0 and len(keys) == 9_292
+    assert peak - before < 0.9 * 2**20
 
 
 @pytest.mark.parametrize("steps", [20_000, 100_000])
