@@ -35,7 +35,7 @@ from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-from .agents import TAG_CODES, Discretizer, external_code
+from .agents import TAG_CODES, Discretizer, RandomAgent, external_code
 from .core import (
     ACTIONS,
     Action,
@@ -55,10 +55,6 @@ from .rng import BlockStream, stream
 Policy = Callable[[FactoredState, BlockStream], Action]
 
 
-def uniform_random_policy(state: FactoredState, rng: np.random.Generator | BlockStream) -> Action:
-    return ACTIONS[int(rng.integers(0, len(ACTIONS)))]
-
-
 def rollout(env: HomeoGridEnv, policy: Policy, seed: int, policy_purpose: str, env_purpose: str) -> Iterator:
     """The one step loop: yields `(state, action, nxt, ok, dead)` per step, forever.
 
@@ -68,7 +64,7 @@ def rollout(env: HomeoGridEnv, policy: Policy, seed: int, policy_purpose: str, e
     """
     model = transition_maps(env)
     dm = env.drive_model
-    rng_env, rng_policy = BlockStream(seed, 0, env_purpose), BlockStream(seed, 0, policy_purpose)
+    rng_env, rng_policy = BlockStream(seed, env_purpose), BlockStream(seed, policy_purpose)
     tracker = SurvivalTracker(dm.grace_steps)
     state = reset(env, seed)
     while True:
@@ -159,7 +155,7 @@ class TransitionDataset:
 def collect_transitions(
     env: HomeoGridEnv, steps: int, seed: int, discretizer: Discretizer
 ) -> TransitionDataset:
-    """Take `steps` transitions of `uniform_random_policy`'s `rollout`, episodes concatenated.
+    """Take `steps` transitions of a `RandomAgent`'s `rollout`, episodes concatenated.
 
     Each step only appends its raw facts to flat buffers; every `rng.BLOCK`
     steps the discretizer's array forms code the buffered block and the
@@ -181,7 +177,7 @@ def collect_transitions(
     dims = len(env.drive_model.set_point)
     if len(d.internal_edges) != dims:
         raise ConfigError(f"{dims} internal values vs {len(d.internal_edges)} edge sets")
-    walk = rollout(env, uniform_random_policy, seed, "blanket-policy", "blanket-env")
+    walk = rollout(env, RandomAgent().act, seed, "blanket-policy", "blanket-env")
     dtype = np.int32 if size <= 2**31 else np.int64  # one dtype holds every code of all three columns
     x, y, z = (np.empty(steps, dtype=dtype) for _ in range(3))
     block = rng.BLOCK
@@ -389,7 +385,7 @@ def jacobian_sparsity(
         # f_e has no internal parameter to thread the perturbation into;
         # differencing through this wrapper records the zero block as a
         # measurement instead of an assumption.
-        return model.f_e(ext, state.boundary, action, stream(0, 0, "jacobian-probe"), t_next)
+        return model.f_e(ext, state.boundary, action, stream(0, "jacobian-probe"), t_next)
 
     for dim in range(k):
         base = state.internal.values[dim]

@@ -147,9 +147,13 @@ class HomeoGridEnv:
 def validate_env(env: HomeoGridEnv) -> None:
     g = env.grid
     require_finite(g, "noise_std", "shade_delta")
+    clip = abs(NOISE_CLIP_SDS * g.noise_std)
     for i, season in enumerate(g.seasons):
         if not math.isfinite(season.baseline):
             raise ConfigError(f"season {i} baseline must be finite, got {season.baseline!r}")
+        if not math.isfinite(abs(season.baseline) + abs(g.shade_delta) + clip):
+            # The sum bounds every cell of the season's field, shaded or noisy.
+            raise ConfigError(f"season {i} ambient field overflows: |baseline| + |shade_delta| + {clip!r}")
     require_finite(env, "c_e", "c_h", "e_gain", "w_gain", "kappa", "leak")
     if g.rows < 1 or g.cols < 1:
         raise ConfigError("grid must have positive dimensions")
@@ -187,6 +191,10 @@ def validate_env(env: HomeoGridEnv) -> None:
         raise ConfigError("drive model must be 3-dimensional (energy, hydration, core_temp)")
 
 
+# Noise draws are clipped at this many standard deviations.
+NOISE_CLIP_SDS = 6.0
+
+
 def _noisy_fields(base: np.ndarray, noise: np.ndarray, noise_std: float) -> np.ndarray:
     """`base` plus the normal draws `noise`, broadcast against each other.
 
@@ -195,12 +203,12 @@ def _noisy_fields(base: np.ndarray, noise: np.ndarray, noise_std: float) -> np.n
     per-cell Python add would do, so each field is bitwise the one built
     from its own draw alone.
     """
-    bound = 6.0 * noise_std
+    bound = NOISE_CLIP_SDS * noise_std
     return base + noise.clip(-bound, bound)
 
 
 def _noisy_field(
-    base: np.ndarray, noise_std: float, rng: np.random.Generator | BlockStream
+    base: np.ndarray, noise_std: float, rng: np.random.Generator
 ) -> tuple[tuple[float, ...], ...]:
     """`base` plus one clipped normal draw per cell."""
     noise = rng.normal(0.0, noise_std, size=base.shape)
@@ -239,7 +247,7 @@ def reset(env: HomeoGridEnv, seed: int) -> FactoredState:
     grids = env.grid.table[season]
     field = grids.field
     if env.grid.noise_std > 0.0:
-        field = _noisy_field(np.array(field), env.grid.noise_std, stream(seed, 0, "env-reset"))
+        field = _noisy_field(np.array(field), env.grid.noise_std, stream(seed, "env-reset"))
     internal = InternalState(tuple(env.drive_model.set_point))
     return body_at(env, internal, env.grid.start, season, field, 0)
 

@@ -147,7 +147,7 @@ def probe_entropies(agent, env: HomeoGridEnv, seed: int) -> list[tuple[tuple[int
     satiated, deficit = probe_internal_states(env)
     season = env.schedule.order[0]
     field = env.grid.table[season].field
-    rng = BlockStream(seed, 0, "probe")
+    rng = BlockStream(seed, "probe")
     out = []
     for r in range(env.grid.rows):
         for c in range(env.grid.cols):

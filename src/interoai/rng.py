@@ -1,9 +1,10 @@
 """Deterministic random streams.
 
 Every source of randomness in the package is a Philox (counter-based)
-generator keyed by (master seed, run id, purpose tag).  Runs therefore draw
-from disjoint, order-independent streams: a sweep produces the same bytes
-whether its runs execute serially or in parallel.
+generator keyed by (master seed, purpose tag).  Runs therefore draw from
+disjoint, order-independent streams: a sweep produces the same bytes
+whether its runs execute serially or in parallel.  The purpose is all that
+keeps two streams of one seed apart, so each names one use.
 
 A step loop that makes one small draw per step can take it from a
 `BlockStream`, which draws `BLOCK` values with one numpy call and hands
@@ -28,29 +29,29 @@ BLOCK = 1024
 _RANDOM = ("random",)  # the lock of a stream that serves `random()`
 
 
-def stream(master_seed: int, run_id: int = 0, purpose: str = "") -> np.random.Generator:
-    """Return the generator for one (seed, run, purpose) triple."""
+def stream(master_seed: int, purpose: str) -> np.random.Generator:
+    """Return the generator for one (seed, purpose) pair."""
     tag = zlib.crc32(purpose.encode("utf-8"))
-    seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(run_id), tag))
+    seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(0, tag))
     return np.random.Generator(np.random.Philox(seq))
 
 
 class BlockStream:
-    """The draws of `stream(master_seed, run_id, purpose)`, served from blocks.
+    """The draws of `stream(master_seed, purpose)`, served from blocks.
 
-    Offers `random()`, `integers(low, high)` and `normal(loc, scale, size)`
-    with the values that the same calls on a plain generator return: a
-    Python float, a Python int, and a read-only view into the block.
-    `normal_block` takes the same normal draw but hands out the whole block
-    and the draw's index, so a caller can do its per-draw numpy work once
+    `random()` and `integers(low, high)` return the values that the same
+    calls on a plain generator return, as a Python float and a Python int.
+    `normal_block(loc, scale, size)` takes the draw `normal(loc, scale,
+    size=size)` would return but hands out the whole read-only block and
+    the draw's index there, so a caller can do its per-draw numpy work once
     per block.  The first draw fixes the call; any other call raises
     `StreamMisuse`.
     """
 
     __slots__ = ("_gen", "_call", "_block", "_next")
 
-    def __init__(self, master_seed: int, run_id: int = 0, purpose: str = ""):
-        self._gen = stream(master_seed, run_id, purpose)
+    def __init__(self, master_seed: int, purpose: str):
+        self._gen = stream(master_seed, purpose)
         self._call: tuple | None = None
         self._block = ()
         self._next = 0
@@ -63,15 +64,9 @@ class BlockStream:
         i = self._advance(("integers", low, high))
         return self._block[i]
 
-    def normal(self, loc: float, scale: float, size: tuple[int, ...]) -> np.ndarray:
-        i = self._advance(("normal", loc, scale, size))
-        return self._block[i]
-
     def normal_block(self, loc: float, scale: float, size: tuple[int, ...]) -> tuple[np.ndarray, int]:
-        """Take the draw `normal(loc, scale, size)` would return, as the
-        read-only block of shape `(BLOCK, *size)` it sits in and its index
-        there.  Locked like `normal`, so the two calls may be mixed.
-        """
+        """Take the next normal draw of shape `size`, as the read-only block
+        of shape `(BLOCK, *size)` it sits in and its index there."""
         i = self._advance(("normal", loc, scale, size))
         return self._block, i
 

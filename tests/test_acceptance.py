@@ -68,7 +68,7 @@ def _first_resource(agent, env, model, internal, start, cap=40) -> str:
         internal=InternalState(internal),
         external=dataclasses.replace(state.external, agent_pos=start),
     )
-    rng = stream(999, 0, "goal-probe")
+    rng = stream(999, "goal-probe")
     for _ in range(cap):
         tag = state.external.tag_at(state.external.agent_pos)
         if tag in (Tag.Food, Tag.Water):
@@ -155,8 +155,8 @@ def test_accept_01_telescoping():
     started = time.monotonic()
     worst = 0.0
     for seed in range(100):
-        rng_env = stream(seed, 0, "env")
-        rng_policy = stream(seed, 0, "agent")
+        rng_env = stream(seed, "env")
+        rng_policy = stream(seed, "agent")
         state = reset(env, seed)
         d0 = drive(dm, state.internal)
         total = 0.0
@@ -200,7 +200,7 @@ def test_accept_02_structural_invariance():
             for action in Action:
                 outcomes = {
                     step_factored(
-                        model, perturb_external(probe, ext), action, stream(0, 0, "env")
+                        model, perturb_external(probe, ext), action, stream(0, "env")
                     ).internal
                     for ext in externals
                 }
@@ -212,7 +212,7 @@ def test_accept_02_structural_invariance():
     for action in Action:
         outcomes = {
             step_factored(
-                coupled_model, perturb_external(base, ext), action, stream(0, 0, "env")
+                coupled_model, perturb_external(base, ext), action, stream(0, "env")
             ).internal
             for ext in externals
         }
@@ -315,7 +315,7 @@ def test_accept_05_chain_oracle():
     optimal = value_iteration(n_states, 2, next_state, reward, gamma=0.9)
 
     table = QTable(actions=chain_actions)
-    rng = stream(5, 0, "agent")
+    rng = stream(5, "agent")
     s = 0
     for t in range(10_000):
         if t % 10 == 0:

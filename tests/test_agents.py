@@ -186,7 +186,7 @@ def test_q_select_frequencies_match_probabilities():
     q = QTable(actions=(Action.MoveN, Action.MoveS, Action.MoveE))
     q.set("s", Action.MoveN, 1.0)
     q.set("s", Action.MoveS, 0.5)
-    rng = stream(123, 0, "agent")
+    rng = stream(123, "agent")
     n = 100_000
     counts = {a: 0 for a in q.actions}
     for _ in range(n):
@@ -391,7 +391,7 @@ def test_context_isolation_replay():
     env = make_tiny_env()
     nm = NeuromodConfig()
     agent = make_agent(AgentConfig(kind="Neuromod", alpha=0.5, gamma=0.9), TINY_DRIVE, DISC, nm)
-    rng = stream(3, 0, "agent")
+    rng = stream(3, "agent")
     state = reset(env, 3)
     per_context_updates: dict[int, list] = {}
     import interoai.agents as agents_mod
@@ -435,7 +435,7 @@ def test_update_in_one_context_leaves_others_bitwise_unchanged():
     state = reset(env, 0)
     hungry = dataclasses.replace(state, internal=InternalState((0.2, 0.6, 37.0)))
     thirsty = dataclasses.replace(state, internal=InternalState((0.6, 0.2, 37.0)))
-    rng = stream(0, 0, "agent")
+    rng = stream(0, "agent")
     a = agent.act(thirsty, rng)
     agent.learn(thirsty, a, dataclasses.replace(thirsty, t=1))
     snapshot = {obs: list(row) for obs, row in agent.tables[1].values.items()}
@@ -459,8 +459,8 @@ def test_neuromod_without_gating_reduces_to_homeostatic_with_tau_of_d():
     homeo = make_agent(
         AgentConfig(kind="HomeostaticQ", alpha=0.5, gamma=0.9, tau=tau_of_d), TINY_DRIVE, DISC
     )
-    rng_a = stream(5, 0, "agent")
-    rng_b = stream(5, 0, "agent")
+    rng_a = stream(5, "agent")
+    rng_b = stream(5, "agent")
     nxt = dataclasses.replace(probe, internal=InternalState((0.5, 0.58, 37.1)), t=1)
     for _ in range(50):
         act_a = neuromod.act(probe, rng_a)
@@ -489,7 +489,7 @@ def test_random_agent_uniform_and_learn_free():
     env = make_tiny_env()
     agent = make_agent(AgentConfig(kind="Random"), TINY_DRIVE, DISC)
     state = reset(env, 0)
-    rng = stream(1, 0, "agent")
+    rng = stream(1, "agent")
     counts = {a: 0 for a in ACTIONS}
     n = 60_000
     for _ in range(n):
@@ -606,8 +606,8 @@ def test_memoized_agent_matches_a_fresh_one_on_states_out_of_order(kind):
     nm = NeuromodConfig()
     memo = make_agent(AgentConfig(kind=kind, alpha=0.5, gamma=0.9), TINY_DRIVE, DISC, nm)
     fresh = make_agent(AgentConfig(kind=kind, alpha=0.5, gamma=0.9), TINY_DRIVE, DISC, nm)
-    rng_memo, rng_fresh = stream(9, 0, "agent"), stream(9, 0, "agent")
-    order = stream(9, 0, "order")
+    rng_memo, rng_fresh = stream(9, "agent"), stream(9, "agent")
+    order = stream(9, "order")
 
     def copy_of(state):
         return dataclasses.replace(state)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from interoai.agents import Discretizer
+from interoai.agents import Discretizer, RandomAgent
 from interoai.blanket import (
     CmiVerdict,
     TransitionDataset,
@@ -23,7 +23,6 @@ from interoai.blanket import (
     collect_transitions,
     conditional_mi,
     jacobian_sparsity,
-    uniform_random_policy,
 )
 from interoai.core import ACTIONS, Action, Tag
 from interoai.envs import (
@@ -374,13 +373,14 @@ def _collect_symbolizing_every_state_twice(env, steps, seed, disc):
     from interoai.rng import stream
 
     model = transition_maps(env)
-    rng_env = stream(seed, 0, "blanket-env")
-    rng_policy = stream(seed, 0, "blanket-policy")
+    rng_env = stream(seed, "blanket-env")
+    rng_policy = stream(seed, "blanket-policy")
+    policy = RandomAgent().act
     state = reset(env, seed)
     tracker = SurvivalTracker(env.drive_model.grace_steps)
     transitions, counts = [], {}
     for _ in range(steps):
-        action = uniform_random_policy(state, rng_policy)
+        action = policy(state, rng_policy)
         nxt = step_factored(model, state, action, rng_env)
         i_sym, b_sym, e_sym = _symbols(disc, state)
         record = (i_sym, b_sym, e_sym, int(action), _symbols(disc, nxt)[0])

@@ -36,7 +36,7 @@ def test_identity_model_increments_time_only():
         internal_dim=3,
         states=transition_maps(env).states,
     )
-    nxt = step_factored(model, state, Action.Rest, stream(0, 0, "env"))
+    nxt = step_factored(model, state, Action.Rest, stream(0, "env"))
     assert nxt.internal == state.internal
     assert nxt.boundary == state.boundary
     assert nxt.external == state.external
@@ -78,7 +78,7 @@ def test_step_reads_current_boundary_not_new_one():
     model = transition_maps(env)
     state = reset(env, 0)
     hot = dataclasses.replace(state, boundary=BoundaryState(40.0, 0.0, 0.0))
-    nxt = step_factored(model, hot, Action.Rest, stream(0, 0, "env"))
+    nxt = step_factored(model, hot, Action.Rest, stream(0, "env"))
     # kappa = 0.1, core 37, sensed 40 -> 37 + 0.1 * 3 = 37.3
     assert nxt.internal.values[2] == pytest.approx(37.3, abs=1e-12)
 
@@ -92,7 +92,7 @@ def test_newton_relaxation_example():
         internal=InternalState((0.6, 0.6, 30.0)),
         boundary=BoundaryState(40.0, 0.0, 0.0),
     )
-    nxt = step_factored(model, probe, Action.Rest, stream(0, 0, "env"))
+    nxt = step_factored(model, probe, Action.Rest, stream(0, "env"))
     assert nxt.internal.values[2] == 31.0
 
 
@@ -100,8 +100,8 @@ def test_determinism_bitwise():
     env = make_tiny_env()
     model = transition_maps(env)
     state = reset(env, 3)
-    a = step_factored(model, state, Action.MoveE, stream(7, 0, "env"))
-    b = step_factored(model, state, Action.MoveE, stream(7, 0, "env"))
+    a = step_factored(model, state, Action.MoveE, stream(7, "env"))
+    b = step_factored(model, state, Action.MoveE, stream(7, "env"))
     assert a == b
 
 
@@ -110,7 +110,7 @@ def test_purity_input_unmodified():
     model = transition_maps(env)
     state = reset(env, 1)
     snapshot = dataclasses.replace(state)
-    step_factored(model, state, Action.MoveN, stream(0, 0, "env"))
+    step_factored(model, state, Action.MoveN, stream(0, "env"))
     assert state == snapshot
 
 
@@ -119,7 +119,7 @@ def test_wall_blocks_movement():
     model = transition_maps(env)
     state = reset(env, 0)
     # Walk north twice from the center of the 3x3 grid: second move hits the wall.
-    rng = stream(0, 0, "env")
+    rng = stream(0, "env")
     one = step_factored(model, state, Action.MoveN, rng)
     assert one.external.agent_pos == (0, 1)
     two = step_factored(model, one, Action.MoveN, rng)
@@ -133,7 +133,7 @@ def test_schema_mismatch_rejected():
     state = reset(env, 0)
     bad = dataclasses.replace(state, internal=InternalState((0.5, 0.5)))
     with pytest.raises(SchemaMismatch):
-        step_factored(model, bad, Action.Rest, stream(0, 0, "env"))
+        step_factored(model, bad, Action.Rest, stream(0, "env"))
 
 
 def _with_external(state, **changes):
@@ -145,7 +145,7 @@ def test_schema_rejects_short_resource_map():
     state = reset(env, 0)
     bad = _with_external(state, resource_map=state.external.resource_map[:2])
     with pytest.raises(SchemaMismatch, match="resource_map"):
-        step_factored(transition_maps(env), bad, Action.Rest, stream(0, 0, "env"))
+        step_factored(transition_maps(env), bad, Action.Rest, stream(0, "env"))
 
 
 def test_schema_rejects_ragged_ambient_field():
@@ -154,7 +154,7 @@ def test_schema_rejects_ragged_ambient_field():
     field = state.external.ambient_field
     bad = _with_external(state, ambient_field=(field[0], field[1][:2], field[2]))
     with pytest.raises(SchemaMismatch, match="ambient_field"):
-        step_factored(transition_maps(env), bad, Action.Rest, stream(0, 0, "env"))
+        step_factored(transition_maps(env), bad, Action.Rest, stream(0, "env"))
 
 
 def test_schema_rejects_out_of_bounds_agent_pos():
@@ -164,7 +164,7 @@ def test_schema_rejects_out_of_bounds_agent_pos():
     for pos in ((3, 1), (1, 3), (-1, 0)):
         bad = _with_external(state, agent_pos=pos)
         with pytest.raises(SchemaMismatch, match="agent_pos"):
-            step_factored(model, bad, Action.Rest, stream(0, 0, "env"))
+            step_factored(model, bad, Action.Rest, stream(0, "env"))
 
 
 def test_schema_check_not_fooled_by_an_earlier_valid_step():
@@ -173,7 +173,7 @@ def test_schema_check_not_fooled_by_an_earlier_valid_step():
     env = make_tiny_env()
     model = transition_maps(env)
     state = reset(env, 0)
-    rng = stream(0, 0, "env")
+    rng = stream(0, "env")
     step_factored(model, state, Action.Rest, rng)
     tags = state.external.resource_map
     ragged = (tags[0], tags[1], tags[2][:1])
@@ -204,7 +204,7 @@ def test_noise_free_world_scans_no_grid_it_built(monkeypatch):
     model = transition_maps(env)
     state = reset(env, 0)
     scanned = _record_grid_scans(monkeypatch)
-    rng = stream(0, 0, "env")
+    rng = stream(0, "env")
     state = step_factored(model, state, Action.Rest, rng)
     assert scanned == []  # the first step too
     for action in (Action.MoveN, Action.Consume, Action.MoveE, Action.Rest, Action.MoveS):
@@ -220,7 +220,7 @@ def test_noisy_world_scans_only_the_ambient_field_on_each_step(monkeypatch):
     model = transition_maps(env)
     state = reset(env, 0)
     scanned = _record_grid_scans(monkeypatch)
-    rng = stream(0, 0, "env")
+    rng = stream(0, "env")
     for _ in range(12):
         state = step_factored(model, state, Action.Rest, rng)
     assert scanned == ["ambient_field"] * 12
@@ -266,7 +266,7 @@ def test_blanket_invariance_under_external_swap():
     for action in Action:
         references = None
         for replacement in externals:
-            nxt = step_factored(model, perturb_external(state, replacement), action, stream(0, 0, "env"))
+            nxt = step_factored(model, perturb_external(state, replacement), action, stream(0, "env"))
             if references is None:
                 references = nxt.internal
             else:
@@ -298,7 +298,7 @@ def test_a_table_state_of_another_world_is_checked():
     small = reset(make_tiny_env(), 0)
     big_model = transition_maps(parse_config(default_config()).env)
     with pytest.raises(SchemaMismatch, match="resource_map"):
-        step_factored(big_model, small, Action.Rest, stream(0, 0, "env"))
+        step_factored(big_model, small, Action.Rest, stream(0, "env"))
 
 
 @pytest.mark.parametrize("season", [7, -1, 2])
@@ -308,7 +308,7 @@ def test_schema_rejects_a_season_the_world_does_not_have(season):
     state = reset(env, 0)
     bad = _with_external(state, season=season)
     with pytest.raises(SchemaMismatch, match="season"):
-        step_factored(transition_maps(env), bad, Action.Rest, stream(0, 0, "env"))
+        step_factored(transition_maps(env), bad, Action.Rest, stream(0, "env"))
 
 
 # One value of each state type, built by keyword, and its expected repr.

@@ -107,7 +107,7 @@ def test_season_periodicity_of_resources():
     model = transition_maps(env)
     cycle = env.schedule.period * len(env.schedule.order)
     state = reset(env, 5)
-    rng = stream(5, 0, "env")
+    rng = stream(5, "env")
     maps = {}
     for step in range(2 * cycle):
         if step % cycle == 7:  # same phase, consecutive cycles
@@ -120,8 +120,8 @@ def test_energy_conserved_without_decay_or_consumption():
     env = make_tiny_env(c_e=0.0)
     model = transition_maps(env)
     state = reset(env, 9)
-    rng = stream(9, 0, "env")
-    rng_act = stream(9, 0, "agent")
+    rng = stream(9, "env")
+    rng_act = stream(9, "agent")
     moves = [a for a in Action if a != Action.Consume]
     for _ in range(300):
         action = moves[int(rng_act.integers(0, len(moves)))]
@@ -149,7 +149,7 @@ def test_respawn_keeps_world_clock():
     env = make_tiny_env()
     model = transition_maps(env)
     state = reset(env, 0)
-    rng = stream(0, 0, "env")
+    rng = stream(0, "env")
     for _ in range(60):  # crosses the period-50 season switch
         state = step_factored(model, state, Action.Rest, rng)
     reborn = respawn(env, state)
@@ -173,7 +173,7 @@ def test_coupled_variant_leak_example():
         boundary=dataclasses.replace(state.boundary, sensed_ambient=30.0),
         external=dataclasses.replace(state.external, ambient_field=hot_field),
     )
-    nxt = step_factored(model, probe, Action.Rest, stream(0, 0, "env"))
+    nxt = step_factored(model, probe, Action.Rest, stream(0, "env"))
     assert nxt.internal.values[2] == pytest.approx(32.0, abs=1e-12)
 
 
@@ -183,7 +183,7 @@ def test_leak_map_equals_the_single_expression_bitwise():
     env = make_tiny_env()
     lam = 0.2
     model = transition_maps(make_coupled_variant(env, lam))
-    rng = stream(3, 0, "leak")
+    rng = stream(3, "leak")
     external = reset(env, 0).external
     for _ in range(200):
         e, h, temp, sensed, ff, fw = rng.uniform(-50.0, 50.0, size=6).tolist()
@@ -251,8 +251,8 @@ def test_noisy_ambient_field_equals_per_cell_sums_bitwise():
         base = grid.table[season].field
         table_base = np.array(base)
         for seed in range(20):
-            field = _noisy_field(table_base, 3.0, stream(seed, 0, "field"))
-            noise = stream(seed, 0, "field").normal(0.0, 3.0, size=(grid.rows, grid.cols))
+            field = _noisy_field(table_base, 3.0, stream(seed, "field"))
+            noise = stream(seed, "field").normal(0.0, 3.0, size=(grid.rows, grid.cols))
             noise = np.clip(noise, -18.0, 18.0)
             expected = tuple(
                 tuple(base[r][c] + float(noise[r, c]) for c in range(grid.cols))
@@ -277,7 +277,7 @@ def test_noisy_fields_built_per_block_equal_per_step_fields_bitwise():
     env = dataclasses.replace(env, grid=dataclasses.replace(env.grid, noise_std=3.0))
     bases = [np.array(g.field) for g in env.grid.table]
     model = transition_maps(env)
-    blocked, plain = BlockStream(5, 0, "blanket-env"), stream(5, 0, "blanket-env")
+    blocked, plain = BlockStream(5, "blanket-env"), stream(5, "blanket-env")
     state = reset(env, 0)
     external = state.external
     seasons_per_block = {}
@@ -300,7 +300,7 @@ def test_respawn_does_not_hash_the_grid_spec(monkeypatch):
     env = make_tiny_env()
     noisy = dataclasses.replace(env, grid=dataclasses.replace(env.grid, noise_std=1.0))
     for world in (env, noisy):
-        state = step_factored(transition_maps(world), reset(world, 0), Action.MoveN, stream(0, 0, "env"))
+        state = step_factored(transition_maps(world), reset(world, 0), Action.MoveN, stream(0, "env"))
         respawn(world, state)
         hashed = []
         grid_hash = GridSpec.__hash__
@@ -332,7 +332,7 @@ def test_noise_free_step_in_place_returns_the_same_external_state():
     env = make_tiny_env()
     model = transition_maps(env)
     state = reset(env, 0)
-    rng = stream(0, 0, "env")
+    rng = stream(0, "env")
     rested = step_factored(model, state, Action.Rest, rng)
     assert rested.external is state.external
     moved = step_factored(model, state, Action.MoveN, rng)
@@ -354,7 +354,7 @@ def test_noise_free_world_hands_out_its_table_states():
     env = make_tiny_env(schedule=SeasonSchedule(period=3, order=(0, 1)))
     states = _table_states(env)
     model = transition_maps(env)
-    rng = stream(0, 0, "env")
+    rng = stream(0, "env")
     state = reset(env, 0)
     assert state.external is states[0][1][1]
     west = step_factored(model, state, Action.MoveW, rng)
@@ -376,7 +376,7 @@ def test_an_equal_valued_copy_of_a_table_state_takes_the_general_path():
     table_state = state.external
     tags = tuple(tuple(list(row)) for row in table_state.resource_map)
     field = tuple(tuple(list(row)) for row in table_state.ambient_field)
-    rng = stream(0, 0, "env")
+    rng = stream(0, "env")
     for copy in (
         dataclasses.replace(table_state),
         dataclasses.replace(table_state, resource_map=tags, ambient_field=field),
@@ -398,7 +398,7 @@ def test_a_state_with_a_foreign_resource_map_steps_into_the_envs_world():
     state = reset(env, 0)
     foreign = tuple(tuple(Tag.Food for _ in row) for row in state.external.resource_map)
     external = dataclasses.replace(state.external, resource_map=foreign)
-    rng = stream(0, 0, "env")
+    rng = stream(0, "env")
     model = transition_maps(env)
     for t_next, season in ((1, 0), (env.schedule.period, 1)):
         moved = model.f_e(external, state.boundary, Action.MoveN, rng, t_next)
@@ -421,7 +421,7 @@ def test_a_state_with_a_foreign_resource_map_respawns_into_its_seasons_world():
         model = transition_maps(world)
         start = reset(world, 0)
         for t, season in ((0, 0), (env.schedule.period - 1, 1)):
-            stepped = step_factored(model, dataclasses.replace(start, t=t), Action.MoveN, stream(0, 0, "env"))
+            stepped = step_factored(model, dataclasses.replace(start, t=t), Action.MoveN, stream(0, "env"))
             dead = dataclasses.replace(
                 stepped, external=dataclasses.replace(stepped.external, resource_map=foreign)
             )
@@ -465,7 +465,7 @@ def test_a_noisy_world_never_hands_out_a_table_state():
     env = dataclasses.replace(env, grid=dataclasses.replace(env.grid, noise_std=1.0))
     table_ids = {id(s) for season in _table_states(env) for row in season for s in row}
     model = transition_maps(env)
-    rng = stream(0, 0, "env")
+    rng = stream(0, "env")
     state = reset(env, 0)
     seen = [state.external]
     for action in [Action.MoveN, Action.Consume, Action.MoveE, Action.Rest, Action.MoveS] * 3:
@@ -487,7 +487,7 @@ def test_every_table_step_fits_the_schema_and_lands_on_a_table_state(env):
     model = transition_maps(env)
     internal = reset(env, 0).internal
     period, order = env.schedule.period, env.schedule.order
-    rng = stream(0, 0, "env")
+    rng = stream(0, "env")
     for season, table in enumerate(model.states):
         first = order.index(season) * period
         for t_next in (first + 1, first + period):
@@ -506,7 +506,7 @@ def test_a_noisy_worlds_draws_fit_the_schema_across_a_block_boundary():
     model = transition_maps(env)
     state = reset(env, 0)
     internal, external = state.internal, state.external
-    rng = BlockStream(0, 0, "blanket-env")
+    rng = BlockStream(0, "blanket-env")
     for t in range(1, BLOCK + 50):  # one draw per step: the last 49 come from the second block
         action = ACTIONS[t % len(ACTIONS)]
         boundary = model.f_b(internal, external, action)
@@ -526,7 +526,7 @@ def test_threads_sharing_one_noisy_model_each_see_their_own_fields():
     start = reset(env, 0)
 
     def run(seed, out):
-        rng = BlockStream(seed, 0, "blanket-env")
+        rng = BlockStream(seed, "blanket-env")
         external = start.external
         for t in range(1, 2 * BLOCK + 100):
             external = model.f_e(external, start.boundary, ACTIONS[t % len(ACTIONS)], rng, t)

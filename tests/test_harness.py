@@ -256,6 +256,39 @@ def test_cli_rejects_a_season_that_places_one_cell_twice(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# Worlds whose every value is finite but whose ambient field is not: a
+# shaded cell at -1e308 - 1e308, or noise clipped at 6 x 1e308.
+_OVERFLOWING_FIELDS = {
+    "shaded": {("env", "seasons", 0, "baseline"): -1e308, ("env", "shade_delta"): 1e308},
+    "noisy": {("blanket", "env", "noise_std"): 1e308},
+}
+
+
+def _overflowing_doc(case: str) -> dict:
+    doc = quick_config_doc()
+    for path, value in _OVERFLOWING_FIELDS[case].items():
+        _set(doc, path, value)
+    return doc
+
+
+@pytest.mark.parametrize("case", sorted(_OVERFLOWING_FIELDS))
+def test_a_season_whose_ambient_field_overflows_is_rejected(case):
+    with pytest.raises(ConfigError, match="season 0 ambient field overflows"):
+        parse_config(_overflowing_doc(case))
+
+
+@pytest.mark.parametrize("command", ["run", "verify-blanket"])
+@pytest.mark.parametrize("case", sorted(_OVERFLOWING_FIELDS))
+def test_cli_rejects_an_overflowing_ambient_field_in_one_line(tmp_path, capsys, case, command):
+    cfg_path = _write_config(tmp_path, _overflowing_doc(case))
+    args = [command, "--config", cfg_path, "--out", str(tmp_path / "out")]
+    assert main(args + (["--seed", "0"] if command == "run" else [])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
+    assert "season 0 ambient field overflows" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_omitted_optional_keys_take_the_dataclass_defaults(quick_doc):
     del quick_doc["agent"]["kind"]
     for key in ("exponents", "viability", "grace_steps"):
@@ -526,7 +559,7 @@ def _reference_deaths(cfg, seed: int, steps: int) -> list[bool]:
 
     env, dm = cfg.env, cfg.env.drive_model
     model = transition_maps(env)
-    rng_env, rng_agent = BlockStream(seed, 0, "env"), BlockStream(seed, 0, "agent")
+    rng_env, rng_agent = BlockStream(seed, "env"), BlockStream(seed, "agent")
     state = reset(env, seed)
     out_of_zone = 0
     deaths = []

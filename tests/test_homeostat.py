@@ -71,8 +71,8 @@ def test_telescoping_on_simulated_trajectory():
     env = make_tiny_env()
     dm = env.drive_model
     model = transition_maps(env)
-    rng_env = stream(11, 0, "env")
-    rng_act = stream(11, 0, "agent")
+    rng_env = stream(11, "env")
+    rng_act = stream(11, "agent")
     state = reset(env, 11)
     h0 = state.internal
     total = 0.0
